@@ -21,7 +21,6 @@ from .errors import (
     CtvmError,
     EmptySliceError,
     EvalError,
-    IngestError,
     InputDataError,
 )
 from .evaluation import NdcgConfig, compare, dcg, mean_ndcg, ndcg
@@ -36,7 +35,7 @@ from .judgments import (
 from .porter import stem
 from .similarity import cosine
 from .textproc import Pipeline, load_stopwords, to_vector, tokenize
-from .voting import Ranking, VoteVector, engine_ranking, four_way, rerank, vote
+from .voting import Ranking, VoteVector, engine_ranking, rerank, vote
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "CtvmError",
     "EmptySliceError",
     "EvalError",
-    "IngestError",
     "InputDataError",
     "Label",
     "NdcgConfig",
@@ -63,7 +61,6 @@ __all__ = [
     "cosine",
     "dcg",
     "engine_ranking",
-    "four_way",
     "ingest_tweets",
     "load_judgment_records",
     "load_news",

@@ -22,6 +22,9 @@ import sys
 from datetime import date
 
 from .corpus import (
+    Tally,
+    _record_lines,
+    format_timestamp,
     ingest_tweets,
     load_news,
     load_queries,
@@ -49,7 +52,6 @@ from .voting import (
     PROVENANCE_ENGINE,
     Ranking,
     engine_ranking,
-    provenance_for_region,
     rerank,
     vote,
 )
@@ -63,7 +65,7 @@ def _read_lines(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -91,6 +93,13 @@ def _parse_region_list(value: str) -> list[str]:
     return regions
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def _parse_cutoffs(value: str) -> tuple[int, ...]:
     try:
         cutoffs = tuple(int(part) for part in value.split(","))
@@ -101,7 +110,7 @@ def _parse_cutoffs(value: str) -> tuple[int, ...]:
     return tuple(sorted(set(cutoffs)))
 
 
-def _load_tweets_file(path: str, args, table=None) -> tuple[list, dict]:
+def _load_tweets_file(path: str, args, table=None) -> tuple[list, Tally]:
     if table is None:
         table = load_region_table(args.region_table)
     tweets, report = ingest_tweets(
@@ -110,13 +119,11 @@ def _load_tweets_file(path: str, args, table=None) -> tuple[list, dict]:
         loose_abbrev=args.loose_abbrev,
         max_text_len=args.max_text_len,
     )
-    return tweets, report.as_dict()
+    return tweets, report
 
 
 def cmd_ingest(args) -> int:
     tweets, report = _load_tweets_file(args.tweets, args)
-    from .corpus import format_timestamp
-
     with _open_out(args.out) as out:
         for tweet in tweets:
             record = {
@@ -127,7 +134,7 @@ def cmd_ingest(args) -> int:
                 "region": tweet.region,
             }
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
-    print(json.dumps({"ingest": report}), file=sys.stderr)
+    print(json.dumps({"ingest": report.as_dict()}), file=sys.stderr)
     return EXIT_OK
 
 
@@ -139,8 +146,8 @@ def cmd_rerank(args) -> int:
             f"regions {unknown} are not in the region table"
         )
     tweets, tweet_report = _load_tweets_file(args.tweets, args, table)
-    if tweet_report["malformed"]:
-        _note(f"{tweet_report['malformed']} malformed tweet lines dropped")
+    if tweet_report.malformed:
+        _note(f"{tweet_report.malformed} malformed tweet lines dropped")
     docs, news_report = load_news(_read_lines(args.news))
     if news_report.malformed:
         _note(f"{news_report.malformed} malformed news lines dropped")
@@ -156,9 +163,7 @@ def cmd_rerank(args) -> int:
         ).append(doc)
 
     lines: list[str] = []
-    for (query_id, engine, day), group in sorted(
-        groups.items(), key=lambda item: (item[0][0], item[0][1], item[0][2])
-    ):
+    for (query_id, engine, day), group in sorted(groups.items()):
         if args.date and day != args.date:
             continue
         query = queries.get(query_id)
@@ -208,12 +213,9 @@ def _load_rankings(path: str) -> dict[tuple[str, str, str], list[tuple[str, Rank
     """Group ranking rows into (engine, provenance) -> [(query instance,
     Ranking)], keyed so each (query, date) pair stays one unit."""
     rows: dict[tuple[str, str, str, str], list[tuple[int, str]]] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
+    for lineno, raw in _record_lines(_read_lines(path)):
         try:
-            record = json.loads(stripped)
+            record = json.loads(raw)
             key = (
                 record["query_id"],
                 record["engine"],
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     region_opts.add_argument(
         "--max-text-len",
-        type=int,
+        type=_positive_int,
         default=280,
         metavar="N",
         help="drop tweets with text longer than N (default 280)",
@@ -479,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument(
         "--min-judges",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="judges required to keep a judgment cell (default 3)",

@@ -10,7 +10,7 @@ that region and day whose text mentions the query.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from typing import Iterable
 
@@ -20,6 +20,8 @@ from .geofilter import RegionTable
 
 def parse_timestamp(value: str) -> datetime:
     """RFC 3339 timestamp with a required UTC offset ('Z' accepted)."""
+    if not isinstance(value, str):
+        raise ValueError(f"timestamp must be a string: {value!r}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -201,22 +203,23 @@ def slice_corpus(
     return CorpusSlice(query, region, day, engine, tuple(picked), tuple(docs))
 
 
-@dataclass
-class IngestReport:
-    accepted: int = 0
-    malformed: int = 0
-    duplicates: int = 0
-    region_unresolved: int = 0
+class Tally:
+    """Named int counters, each starting at 0, kept in the given order."""
+
+    def __init__(self, *names: str) -> None:
+        for name in names:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
-def _record_lines(lines: Iterable[str]) -> Iterable[str]:
-    for line in lines:
+def _record_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
+    """(physical line number, stripped text) for each non-blank line."""
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped:
-            yield stripped
+            yield lineno, stripped
 
 
 def ingest_tweets(
@@ -225,7 +228,7 @@ def ingest_tweets(
     *,
     loose_abbrev: bool = False,
     max_text_len: int = 280,
-) -> tuple[list[Tweet], IngestReport]:
+) -> tuple[list[Tweet], Tally]:
     """Parse tweet JSONL and attach a region to each record.
 
     Malformed lines and duplicate ids are dropped and counted. Tweets
@@ -234,10 +237,10 @@ def ingest_tweets(
     Records that already carry a "region" key (this function's own
     output does) keep it untouched, which makes ingestion idempotent.
     """
-    report = IngestReport()
+    report = Tally("accepted", "malformed", "duplicates", "region_unresolved")
     tweets: list[Tweet] = []
     seen: set[str] = set()
-    for raw in _record_lines(lines):
+    for _, raw in _record_lines(lines):
         try:
             record = json.loads(raw)
             if not isinstance(record, dict):
@@ -285,21 +288,11 @@ def ingest_tweets(
     return tweets, report
 
 
-@dataclass
-class NewsReport:
-    accepted: int = 0
-    malformed: int = 0
-    duplicates: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], NewsReport]:
-    report = NewsReport()
+def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], Tally]:
+    report = Tally("accepted", "malformed", "duplicates")
     docs: list[NewsDoc] = []
     seen: set[str] = set()
-    for raw in _record_lines(lines):
+    for _, raw in _record_lines(lines):
         try:
             record = json.loads(raw)
             if not isinstance(record, dict):
@@ -332,7 +325,7 @@ def load_queries(lines: Iterable[str]) -> list[Query]:
     """Queries load strictly: any bad record is fatal."""
     queries: list[Query] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(_record_lines(lines), start=1):
+    for lineno, raw in _record_lines(lines):
         try:
             record = json.loads(raw)
             if not isinstance(record, dict):

@@ -14,10 +14,6 @@ class InputDataError(CtvmError):
     """A file or stream could not be parsed into usable records."""
 
 
-class IngestError(InputDataError):
-    """Tweet or news ingestion failed outright (not per-record noise)."""
-
-
 class EmptySliceError(CtvmError):
     """A corpus slice has no news documents to rank."""
 

@@ -87,7 +87,7 @@ def load_region_table(path: str | None = None) -> RegionTable:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputDataError(f"cannot read region table: {exc}") from exc
     lines = [
         line

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
 
-from .errors import InputDataError
+from .corpus import Tally, _record_lines
 
 
 class Label(IntEnum):
@@ -72,28 +72,13 @@ class JudgmentSet:
         return (self.query_id, self.news_id, self.region)
 
 
-@dataclass
-class AggregationReport:
-    records_in: int = 0
-    bad_labels: int = 0
-    duplicates_superseded: int = 0
-    cells_kept: int = 0
-    cells_dropped: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 def load_judgment_records(
     lines: Iterable[str],
 ) -> tuple[list[JudgmentRecord], int]:
     """Parse judgment JSONL; returns (records, malformed_line_count)."""
     records: list[JudgmentRecord] = []
     malformed = 0
-    for line in lines:
-        raw = line.strip()
-        if not raw:
-            continue
+    for _, raw in _record_lines(lines):
         try:
             obj = json.loads(raw)
             if not isinstance(obj, dict):
@@ -124,7 +109,7 @@ def load_judgment_records(
 def aggregate(
     records: Iterable[JudgmentRecord],
     min_judges: int = 3,
-) -> tuple[list[JudgmentSet], AggregationReport]:
+) -> tuple[list[JudgmentSet], Tally]:
     """Mean score per cell, dropping cells with too few distinct judges.
 
     Records with unparseable labels are skipped and counted; a judge's
@@ -132,7 +117,13 @@ def aggregate(
     """
     if min_judges < 1:
         raise ValueError("min_judges must be at least 1")
-    report = AggregationReport()
+    report = Tally(
+        "records_in",
+        "bad_labels",
+        "duplicates_superseded",
+        "cells_kept",
+        "cells_dropped",
+    )
     # cell -> judge -> Label, insertion-ordered for stable output
     cells: dict[tuple[str, str, str], dict[str, Label]] = {}
     for record in records:
@@ -197,6 +188,3 @@ class RelevanceLookup:
 
     def regions(self) -> tuple[str, ...]:
         return tuple(sorted({key[2] for key in self._table}))
-
-    def query_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({key[0] for key in self._table}))

@@ -14,6 +14,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .errors import InputDataError
 from .porter import stem
 
 # URLs are noise in tweet text; drop them before splitting.
@@ -44,8 +45,11 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
             .read_text(encoding="utf-8")
         )
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputDataError(f"cannot read {path}: {exc}") from exc
     words = set()
     for line in text.splitlines():
         entry = line.strip().lower()

@@ -9,7 +9,7 @@ reproduces the engine ranking exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import CorpusSlice, NewsDoc
 from .errors import ContractViolation, EmptySliceError
@@ -139,44 +139,3 @@ def rerank(news: Sequence[NewsDoc], votes: VoteVector) -> Ranking:
     entries = tuple((doc.id, i) for i, doc in enumerate(ordered, start=1))
     return Ranking(entries, provenance_for_region(votes.region))
 
-
-def four_way(
-    slices_by_region: Mapping[str, CorpusSlice],
-    pipeline: Pipeline,
-    sim_mode: str = MODE_COMMON_SET,
-    include_snippet: bool = False,
-    news: Sequence[NewsDoc] | None = None,
-) -> dict[str, Ranking]:
-    """Engine ranking plus one CTVM ranking per region slice.
-
-    All slices must rank the same news list; the engine baseline is
-    taken from it (or from the explicit news argument, which also
-    allows a zero-slice call that yields the engine ranking alone).
-    """
-    slices = list(slices_by_region.items())
-    if news is not None:
-        reference = tuple(sorted(news, key=lambda d: d.original_rank))
-    elif slices:
-        reference = slices[0][1].news
-    else:
-        raise ContractViolation("four_way needs slices or an explicit news list")
-    if not reference:
-        raise EmptySliceError("no news to rank")
-    ref_ids = tuple(doc.id for doc in reference)
-    for region, corpus_slice in slices:
-        if region != corpus_slice.region:
-            raise ContractViolation(
-                f"slice for {corpus_slice.region!r} filed under {region!r}"
-            )
-        ids = tuple(doc.id for doc in corpus_slice.news)
-        if ids != ref_ids:
-            raise ContractViolation(
-                f"slice {region} ranks {ids}, expected {ref_ids}"
-            )
-    rankings = {PROVENANCE_ENGINE: engine_ranking(reference)}
-    for region, corpus_slice in slices:
-        votes = vote(corpus_slice, pipeline, sim_mode, include_snippet)
-        rankings[provenance_for_region(region)] = rerank(
-            corpus_slice.news, votes
-        )
-    return rankings

@@ -622,6 +622,25 @@ class TestReport:
         assert "columns" in err
 
 
+# Input flags per subcommand and the golden file each reads
+# (None: the flag has a bundled default).
+GOLDEN_ARGS = {
+    "ingest": {"--tweets": "tweets.jsonl", "--region-table": None},
+    "rerank": {
+        "--tweets": "tweets.jsonl",
+        "--news": "news.jsonl",
+        "--queries": "queries.jsonl",
+        "--stopwords": None,
+        "--region-table": None,
+    },
+    "eval": {
+        "--rankings": "expected_rankings.jsonl",
+        "--judgments": "judgments.jsonl",
+    },
+    "report": {"--rows": "expected_rows.csv"},
+}
+
+
 class TestUsage:
     def test_no_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -668,6 +687,47 @@ class TestUsage:
                 ]
             )
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval", "--min-judges", "0"),
+            ("eval", "--min-judges", "-1"),
+            ("ingest", "--max-text-len", "0"),
+            ("rerank", "--max-text-len", "-5"),
+        ],
+    )
+    def test_non_positive_counts_exit_two(
+        self, command, flag, value, golden, capsys
+    ):
+        argv = [command, "--out", "-", flag, value]
+        for name, filename in GOLDEN_ARGS[command].items():
+            if filename is not None:
+                argv += [name, str(golden / filename)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"{flag}: must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in GOLDEN_ARGS.items() for flag in flags],
+)
+def test_non_utf8_input_exits_one(command, flag, golden, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("caf\xe9,Qu\xe9bec\n".encode("latin-1"))
+    argv = [command, "--out", tmp_path / "out"]
+    for name, filename in GOLDEN_ARGS[command].items():
+        if name == flag:
+            argv += [name, bad]
+        elif filename is not None:
+            argv += [name, golden / filename]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestPipelineEndToEnd:

@@ -180,10 +180,11 @@ class TestIngestTweets:
             json.dumps({**base, "id": "t6", "user_location": 7}),
             json.dumps({**base, "id": "t7", "region": 3}),
             json.dumps({**base, "id": "t8", "region": ""}),
+            json.dumps({**base, "id": "t9", "timestamp": 123}),
         ]
         tweets, report = self.run([json.dumps(base), *bad, ""], states)
         assert report.accepted == 1
-        assert report.malformed == 9
+        assert report.malformed == 10
         assert tweets[0].id == "ok"
 
     def test_exact_280_chars_accepted(self, states):
@@ -351,6 +352,11 @@ class TestLoadQueries:
     def test_bad_record_is_fatal(self):
         with pytest.raises(InputDataError, match="line 1"):
             load_queries([json.dumps({"id": "q"})])
+
+    def test_bad_record_names_physical_line(self):
+        good = json.dumps({"id": "q", "variants": ["q"]})
+        with pytest.raises(InputDataError, match="line 4"):
+            load_queries([good, "", "  ", json.dumps({"id": "r"})])
 
     def test_duplicate_id_is_fatal(self):
         line = json.dumps({"id": "q", "variants": ["q"]})

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctvm.judgments import (
-    AggregationReport,
     JudgmentRecord,
     Label,
     RelevanceLookup,
@@ -298,7 +297,7 @@ class TestRelevanceLookup:
         lookup = RelevanceLookup(self.make_sets(), round_scores=True)
         assert lookup.get("q", "n1", "CA") == 3.0
 
-    def test_regions_and_query_ids_sorted(self):
+    def test_regions_sorted(self):
         records = []
         for region in ("TX", "CA"):
             for judge in ("j1", "j2", "j3"):
@@ -306,11 +305,10 @@ class TestRelevanceLookup:
         sets, _ = aggregate(records)
         lookup = RelevanceLookup(sets)
         assert lookup.regions() == ("CA", "TX")
-        assert lookup.query_ids() == ("q",)
 
 
 def test_aggregation_report_shape():
-    assert AggregationReport().as_dict() == {
+    assert aggregate([])[1].as_dict() == {
         "records_in": 0,
         "bad_labels": 0,
         "duplicates_superseded": 0,

@@ -14,7 +14,6 @@ from ctvm.voting import (
     Ranking,
     VoteVector,
     engine_ranking,
-    four_way,
     news_text,
     provenance_for_region,
     rerank,
@@ -220,37 +219,6 @@ class TestRerank:
         votes = VoteVector((("nX", 0.1),), tweet_count=1)
         with pytest.raises(ContractViolation, match="nA"):
             rerank(news, votes)
-
-
-class TestFourWay:
-    def test_engine_plus_one_per_region(self, obama_pipeline):
-        ca = make_slice(WORKSHEET_TWEETS, WORKSHEET_NEWS)
-        ny = CorpusSlice(QUERY, "NY", DAY, "google", (), WORKSHEET_NEWS)
-        rankings = four_way({"CA": ca, "NY": ny}, obama_pipeline)
-        assert set(rankings) == {"engine", "ctvm(CA)", "ctvm(NY)"}
-        assert rankings["engine"].ids() == ("n-vac", "n-speech", "n-tax")
-        assert rankings["ctvm(CA)"].ids() == ("n-tax", "n-speech", "n-vac")
-        # no NY tweets, so the engine order survives
-        assert rankings["ctvm(NY)"].ids() == rankings["engine"].ids()
-
-    def test_explicit_news_allows_engine_only(self, obama_pipeline):
-        rankings = four_way({}, obama_pipeline, news=WORKSHEET_NEWS)
-        assert set(rankings) == {"engine"}
-
-    def test_no_slices_and_no_news_rejected(self, obama_pipeline):
-        with pytest.raises(ContractViolation):
-            four_way({}, obama_pipeline)
-
-    def test_mismatched_news_rejected(self, obama_pipeline):
-        ca = make_slice((), WORKSHEET_NEWS)
-        ny = CorpusSlice(QUERY, "NY", DAY, "google", (), WORKSHEET_NEWS[:2])
-        with pytest.raises(ContractViolation, match="NY"):
-            four_way({"CA": ca, "NY": ny}, obama_pipeline)
-
-    def test_mislabelled_slice_rejected(self, obama_pipeline):
-        ca = make_slice((), WORKSHEET_NEWS)
-        with pytest.raises(ContractViolation, match="filed under"):
-            four_way({"NY": ca}, obama_pipeline)
 
 
 WORDS = st.sampled_from(
