@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import sys
 from datetime import date
 
 from .corpus import (
     Tally,
+    _RANKING_FIELDS,
+    _parse_record,
     _record_lines,
     format_timestamp,
     ingest_tweets,
@@ -30,7 +31,7 @@ from .corpus import (
     load_queries,
     slice_corpus,
 )
-from .errors import ContractViolation, CtvmError, InputDataError
+from .errors import ContractViolation, CtvmError, InputDataError, read_input
 from .evaluation import (
     EvalRow,
     NdcgConfig,
@@ -59,14 +60,6 @@ from .voting import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONTRACT = 2
-
-
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputDataError(f"cannot read {path}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -113,13 +106,12 @@ def _parse_cutoffs(value: str) -> tuple[int, ...]:
 def _load_tweets_file(path: str, args, table=None) -> tuple[list, Tally]:
     if table is None:
         table = load_region_table(args.region_table)
-    tweets, report = ingest_tweets(
-        _read_lines(path),
+    return ingest_tweets(
+        read_input(path),
         table,
         loose_abbrev=args.loose_abbrev,
         max_text_len=args.max_text_len,
     )
-    return tweets, report
 
 
 def cmd_ingest(args) -> int:
@@ -148,12 +140,12 @@ def cmd_rerank(args) -> int:
     tweets, tweet_report = _load_tweets_file(args.tweets, args, table)
     if tweet_report.malformed:
         _note(f"{tweet_report.malformed} malformed tweet lines dropped")
-    docs, news_report = load_news(_read_lines(args.news))
+    docs, news_report = load_news(read_input(args.news))
     if news_report.malformed:
         _note(f"{news_report.malformed} malformed news lines dropped")
     if not docs:
         raise InputDataError(f"no usable news records in {args.news}")
-    queries = {q.id: q for q in load_queries(_read_lines(args.queries))}
+    queries = {q.id: q for q in load_queries(read_input(args.queries))}
 
     stopwords = load_stopwords(args.stopwords)
     groups: dict[tuple[str, str, date], list] = {}
@@ -213,21 +205,18 @@ def _load_rankings(path: str) -> dict[tuple[str, str, str], list[tuple[str, Rank
     """Group ranking rows into (engine, provenance) -> [(query instance,
     Ranking)], keyed so each (query, date) pair stays one unit."""
     rows: dict[tuple[str, str, str, str], list[tuple[int, str]]] = {}
-    for lineno, raw in _record_lines(_read_lines(path)):
+    for lineno, raw in _record_lines(read_input(path)):
         try:
-            record = json.loads(raw)
-            key = (
-                record["query_id"],
-                record["engine"],
-                record["date"],
-                record["provenance"],
-            )
-            entry = (record["position"], record["news_id"])
-            if not isinstance(entry[0], int) or not isinstance(entry[1], str):
-                raise ValueError("bad position or news_id")
-        except (KeyError, ValueError, TypeError) as exc:
+            record = _parse_record(raw, _RANKING_FIELDS)
+        except ValueError as exc:
             raise InputDataError(f"bad ranking row on line {lineno}: {exc}")
-        rows.setdefault(key, []).append(entry)
+        key = (
+            record["query_id"],
+            record["engine"],
+            record["date"],
+            record["provenance"],
+        )
+        rows.setdefault(key, []).append((record["position"], record["news_id"]))
     grouped: dict[tuple[str, str, str], list[tuple[str, Ranking]]] = {}
     for (query_id, engine, day, provenance), entries in sorted(rows.items()):
         entries.sort()
@@ -250,7 +239,7 @@ EVAL_COLUMNS = ("region", "engine", "provenance", "cutoff", "mean_ndcg", "n_quer
 
 def cmd_eval(args) -> int:
     grouped = _load_rankings(args.rankings)
-    records, malformed = load_judgment_records(_read_lines(args.judgments))
+    records, malformed = load_judgment_records(read_input(args.judgments))
     if malformed:
         _note(f"{malformed} malformed judgment lines dropped")
     judgment_sets, agg_report = aggregate(records, min_judges=args.min_judges)
@@ -310,8 +299,7 @@ def cmd_eval(args) -> int:
 
 def _read_eval_rows(path: str) -> list[tuple[str, str, EvalRow]]:
     rows: list[tuple[str, str, EvalRow]] = []
-    text = "".join(_read_lines(path))
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(read_input(path))
     if reader.fieldnames is None or not set(EVAL_COLUMNS) <= set(reader.fieldnames):
         raise InputDataError(
             f"{path} does not look like eval output "

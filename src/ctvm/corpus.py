@@ -20,15 +20,16 @@ from .geofilter import RegionTable
 
 def parse_timestamp(value: str) -> datetime:
     """RFC 3339 timestamp with a required UTC offset ('Z' accepted)."""
-    if not isinstance(value, str):
-        raise ValueError(f"timestamp must be a string: {value!r}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp lacks a UTC offset: {value!r}")
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp is out of range in UTC: {value!r}")
 
 
 def format_timestamp(value: datetime) -> str:
@@ -222,6 +223,36 @@ def _record_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
             yield lineno, stripped
 
 
+def _parse_record(raw: str, fields: dict[str, type]) -> dict:
+    """The JSON object on one input line, checked against its required
+    fields: each must be present with exactly the declared type (True
+    and 2.0 are not int), and a str field must be non-empty. Raises
+    ValueError naming the first field that fails."""
+    try:
+        record = json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply")
+    if type(record) is not dict:
+        raise ValueError("not a JSON object")
+    for name, kind in fields.items():
+        value = record.get(name)
+        if type(value) is not kind or (kind is str and not value):
+            what = "a non-empty string" if kind is str else f"of type {kind.__name__}"
+            raise ValueError(f"{name} must be {what}")
+    return record
+
+
+_TWEET_FIELDS = dict(id=str, text=str, timestamp=str)
+_NEWS_FIELDS = dict(
+    id=str, query_id=str, engine=str, title=str, retrieved_date=str, original_rank=int
+)
+_QUERY_FIELDS = dict(id=str, variants=list)
+_JUDGMENT_FIELDS = dict(query_id=str, news_id=str, region=str, judge_id=str)
+_RANKING_FIELDS = dict(
+    query_id=str, engine=str, date=str, provenance=str, news_id=str, position=int
+)
+
+
 def ingest_tweets(
     lines: Iterable[str],
     regions: RegionTable,
@@ -242,15 +273,11 @@ def ingest_tweets(
     seen: set[str] = set()
     for _, raw in _record_lines(lines):
         try:
-            record = json.loads(raw)
-            if not isinstance(record, dict):
-                raise ValueError("not an object")
+            record = _parse_record(raw, _TWEET_FIELDS)
             tweet_id = record["id"]
             text = record["text"]
-            if not isinstance(tweet_id, str) or not tweet_id:
-                raise ValueError("bad id")
-            if not isinstance(text, str) or not text.strip():
-                raise ValueError("bad text")
+            if not text.strip():
+                raise ValueError("blank text")
             if len(text) > max_text_len:
                 raise ValueError("text too long")
             timestamp = parse_timestamp(record["timestamp"])
@@ -259,10 +286,10 @@ def ingest_tweets(
                 raise ValueError("bad user_location")
             preset = record.get("region")
             if preset is not None and (
-                not isinstance(preset, str) or not preset
+                not isinstance(preset, str) or preset not in regions
             ):
-                raise ValueError("bad region")
-        except (KeyError, ValueError, TypeError):
+                raise ValueError("region not in the table")
+        except ValueError:
             report.malformed += 1
             continue
         if tweet_id in seen:
@@ -294,9 +321,7 @@ def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], Tally]:
     seen: set[str] = set()
     for _, raw in _record_lines(lines):
         try:
-            record = json.loads(raw)
-            if not isinstance(record, dict):
-                raise ValueError("not an object")
+            record = _parse_record(raw, _NEWS_FIELDS)
             snippet = record.get("snippet") or ""
             if not isinstance(snippet, str):
                 raise ValueError("bad snippet")
@@ -309,7 +334,7 @@ def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], Tally]:
                 retrieved_date=date.fromisoformat(record["retrieved_date"]),
                 snippet=snippet,
             )
-        except (KeyError, ValueError, TypeError):
+        except ValueError:
             report.malformed += 1
             continue
         if doc.id in seen:
@@ -327,22 +352,15 @@ def load_queries(lines: Iterable[str]) -> list[Query]:
     seen: set[str] = set()
     for lineno, raw in _record_lines(lines):
         try:
-            record = json.loads(raw)
-            if not isinstance(record, dict):
-                raise ValueError("not an object")
-            query_id = record["id"]
+            record = _parse_record(raw, _QUERY_FIELDS)
             variants = record["variants"]
-            if not isinstance(query_id, str):
-                raise ValueError("bad id")
-            if not isinstance(variants, list) or not all(
-                isinstance(v, str) for v in variants
-            ):
+            if not all(isinstance(v, str) for v in variants):
                 raise ValueError("variants must be a list of strings")
             query = Query(
-                id=query_id,
+                id=record["id"],
                 variants=tuple(v.lower().strip() for v in variants),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise InputDataError(f"bad query record on line {lineno}: {exc}")
         if query.id in seen:
             raise InputDataError(f"duplicate query id: {query.id}")

@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one input reader.
 
 Two broad classes matter to callers: bad input data (exit code 1 at the
 CLI) and internal contract violations such as mismatched parallel
 structures (exit code 2).
 """
+
+from importlib import resources
 
 
 class CtvmError(Exception):
@@ -24,3 +26,21 @@ class EvalError(CtvmError):
 
 class ContractViolation(CtvmError):
     """Parallel inputs disagree in a way that indicates a programming bug."""
+
+
+def read_input(path: str | None, bundled: str | None = None) -> list[str]:
+    """Lines of a UTF-8 file, or of the bundled ctvm/data file named by
+    bundled when path is None. Lines end only at \\n, \\r or \\r\\n (not
+    at every break str.splitlines() knows), so a raw U+2028 or U+0085
+    inside a JSON string stays in its record."""
+    try:
+        if path is None:
+            source = resources.files("ctvm.data").joinpath(bundled).open(
+                encoding="utf-8"
+            )
+        else:
+            source = open(path, encoding="utf-8")
+        with source as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputDataError(f"cannot read {path or bundled}: {exc}") from exc

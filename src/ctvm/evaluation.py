@@ -22,8 +22,6 @@ from .errors import ContractViolation, EvalError
 from .judgments import RelevanceLookup
 from .voting import PROVENANCE_ENGINE, Ranking
 
-GAIN_EXPONENTIAL = "exponential"
-GAIN_LINEAR = "linear"
 VARIANT_STANDARD = "standard"
 VARIANT_LITERAL = "literal"
 
@@ -33,7 +31,6 @@ DEFAULT_CUTOFFS = (3, 5, 10)
 @dataclass(frozen=True)
 class NdcgConfig:
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
-    gain: str = GAIN_EXPONENTIAL
     variant: str = VARIANT_STANDARD
 
     def __post_init__(self) -> None:
@@ -46,12 +43,8 @@ class NdcgConfig:
             raise ValueError(f"cutoffs must be ints >= 1: {self.cutoffs}")
         if list(self.cutoffs) != sorted(set(self.cutoffs)):
             raise ValueError(f"cutoffs must be strictly ascending: {self.cutoffs}")
-        if self.gain not in (GAIN_EXPONENTIAL, GAIN_LINEAR):
-            raise ValueError(f"unknown gain: {self.gain!r}")
         if self.variant not in (VARIANT_STANDARD, VARIANT_LITERAL):
             raise ValueError(f"unknown variant: {self.variant!r}")
-        if self.variant == VARIANT_LITERAL and self.gain != GAIN_EXPONENTIAL:
-            raise ValueError("literal variant defines only the exponential gain")
 
 
 DEFAULT_CONFIG = NdcgConfig()
@@ -62,8 +55,6 @@ def _gain(relevance: float, config: NdcgConfig) -> float:
         raise ValueError(f"negative relevance: {relevance}")
     if config.variant == VARIANT_LITERAL:
         return 2.0 ** (relevance - 1.0)
-    if config.gain == GAIN_LINEAR:
-        return float(relevance)
     return 2.0**relevance - 1.0
 
 

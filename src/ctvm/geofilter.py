@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from importlib import resources
 
-from .errors import InputDataError
+from .errors import InputDataError, read_input
 
 _LETTER_RUN_RE = re.compile(r"[A-Za-z]+")
 _CODE_RE = re.compile(r"[A-Z]+\Z")
@@ -38,13 +37,14 @@ class RegionTable:
                 raise ValueError(f"duplicate region code: {code}")
             seen.add(code)
             lowered.append(name.lower())
+        object.__setattr__(self, "_codes", frozenset(seen))
         object.__setattr__(self, "_lowered_names", tuple(lowered))
 
     def codes(self) -> tuple[str, ...]:
         return tuple(code for code, _ in self.entries)
 
     def __contains__(self, code: object) -> bool:
-        return any(code == c for c, _ in self.entries)
+        return code in self._codes
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -77,21 +77,9 @@ class RegionTable:
 
 def load_region_table(path: str | None = None) -> RegionTable:
     """Load a code,full_name CSV; defaults to the bundled US states."""
-    if path is None:
-        text = (
-            resources.files("ctvm.data")
-            .joinpath("us_states.csv")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputDataError(f"cannot read region table: {exc}") from exc
     lines = [
         line
-        for line in text.splitlines()
+        for line in read_input(path, "us_states.csv")
         if line.strip() and not line.lstrip().startswith("#")
     ]
     entries = []

@@ -8,13 +8,12 @@ rated the same cell twice counts once, with the later record winning.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
 
-from .corpus import Tally, _record_lines
+from .corpus import Tally, _JUDGMENT_FIELDS, _parse_record, _record_lines
 
 
 class Label(IntEnum):
@@ -80,29 +79,20 @@ def load_judgment_records(
     malformed = 0
     for _, raw in _record_lines(lines):
         try:
-            obj = json.loads(raw)
-            if not isinstance(obj, dict):
-                raise ValueError("not an object")
+            obj = _parse_record(raw, _JUDGMENT_FIELDS)
             label = obj["label"] if "label" in obj else obj["score"]
-            record = JudgmentRecord(
+        except (KeyError, ValueError):
+            malformed += 1
+            continue
+        records.append(
+            JudgmentRecord(
                 query_id=obj["query_id"],
                 news_id=obj["news_id"],
                 region=obj["region"],
                 judge_id=obj["judge_id"],
                 label=label,
             )
-            for value in (
-                record.query_id,
-                record.news_id,
-                record.region,
-                record.judge_id,
-            ):
-                if not isinstance(value, str) or not value:
-                    raise ValueError("ids must be non-empty strings")
-        except (KeyError, ValueError, TypeError):
-            malformed += 1
-            continue
-        records.append(record)
+        )
     return records, malformed
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from importlib import resources
 
-from .errors import InputDataError
+from .errors import read_input
 from .porter import stem
 
 # URLs are noise in tweet text; drop them before splitting.
@@ -38,20 +37,8 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
 
     With no path, the bundled SMART list is used.
     """
-    if path is None:
-        text = (
-            resources.files("ctvm.data")
-            .joinpath("stopwords_smart.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputDataError(f"cannot read {path}: {exc}") from exc
     words = set()
-    for line in text.splitlines():
+    for line in read_input(path, "stopwords_smart.txt"):
         entry = line.strip().lower()
         if not entry or entry.startswith("#"):
             continue

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
 
@@ -578,6 +579,30 @@ class TestEval:
         assert code == EXIT_INPUT
         assert "positions" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("query_id", 5), ("provenance", ["a"]), ("date", None), ("position", True)],
+    )
+    def test_mistyped_ranking_field_exits_one(
+        self, field, value, golden, tmp_path, capsys
+    ):
+        lines = read(golden / "expected_rankings.jsonl").splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+        rankings = tmp_path / "rankings.jsonl"
+        write_lines(rankings, lines)
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--rankings",
+            rankings,
+            "--judgments",
+            golden / "judgments.jsonl",
+            "--out",
+            "-",
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: bad ranking row on line 2: {field} ")
+
 
 class TestReport:
     def test_golden_bytes(self, golden, tmp_path, capsys):
@@ -728,6 +753,77 @@ def test_non_utf8_input_exits_one(command, flag, golden, tmp_path, capsys):
     assert code == EXIT_INPUT
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("ingest", "--tweets"),
+        ("rerank", "--tweets"),
+        ("rerank", "--news"),
+        ("rerank", "--queries"),
+        ("eval", "--rankings"),
+        ("eval", "--judgments"),
+    ],
+)
+def test_any_field_value_exits_cleanly(command, flag, golden, tmp_path, capsys):
+    """One field of one golden record set to an arbitrary JSON value
+    ends in exit 0 or 1, never in an exception."""
+    lines = read(golden / GOLDEN_ARGS[command][flag]).splitlines()
+    mutated = tmp_path / "mutated.jsonl"
+    argv = [command, "--out", tmp_path / "out"]
+    for name, filename in GOLDEN_ARGS[command].items():
+        if filename is not None:
+            argv += [name, mutated if name == flag else golden / filename]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def check(data):
+        index = data.draw(st.integers(0, len(lines) - 1), label="line")
+        record = json.loads(lines[index])
+        field = data.draw(st.sampled_from(sorted(record)), label="field")
+        record[field] = data.draw(JSON_VALUES, label="value")
+        write_lines(mutated, [*lines[:index], json.dumps(record), *lines[index + 1 :]])
+        assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_INPUT)
+
+    check()
+
+
+def test_line_separators_inside_text_survive(golden, tmp_path, capsys):
+    """Raw U+2028 and U+0085 are not line ends in JSONL input."""
+    record = json.loads(read(golden / "tweets.jsonl").splitlines()[0])
+    record["text"] += "\u2028tax\x85plan"
+    tweets, once, twice = (tmp_path / n for n in ("t.jsonl", "1.jsonl", "2.jsonl"))
+    write_lines(tweets, [json.dumps(record, ensure_ascii=False)])
+    for source, out in ((tweets, once), (once, twice)):
+        code, _, err = run(capsys, "ingest", "--tweets", source, "--out", out)
+        assert code == EXIT_OK
+        assert json.loads(err)["ingest"]["accepted"] == 1
+    assert twice.read_bytes() == once.read_bytes()
+    assert "\u2028tax\x85plan".encode() in once.read_bytes()
+    code, _, err = run(
+        capsys,
+        "rerank",
+        "--tweets",
+        twice,
+        "--news",
+        golden / "news.jsonl",
+        "--queries",
+        golden / "queries.jsonl",
+        "--regions",
+        "CA",
+        "--out",
+        tmp_path / "rankings.jsonl",
+    )
+    assert code == EXIT_OK and err == ""
 
 
 class TestPipelineEndToEnd:

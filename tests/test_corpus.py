@@ -181,10 +181,13 @@ class TestIngestTweets:
             json.dumps({**base, "id": "t7", "region": 3}),
             json.dumps({**base, "id": "t8", "region": ""}),
             json.dumps({**base, "id": "t9", "timestamp": 123}),
+            json.dumps({**base, "id": "t10", "timestamp": "9999-12-31T23:00:00-10:00"}),
+            json.dumps({**base, "id": "t11", "region": "ZZ"}),
+            "[" * 100_000,
         ]
         tweets, report = self.run([json.dumps(base), *bad, ""], states)
         assert report.accepted == 1
-        assert report.malformed == 10
+        assert report.malformed == 13
         assert tweets[0].id == "ok"
 
     def test_exact_280_chars_accepted(self, states):
@@ -312,6 +315,10 @@ class TestLoadNews:
             json.dumps({**good, "id": "n3", "original_rank": True}),
             json.dumps({**good, "id": "n4", "retrieved_date": "12/12/2011"}),
             json.dumps({**good, "id": "n5", "snippet": 9}),
+            json.dumps({**good, "id": "n6", "title": 5}),
+            json.dumps({**good, "id": "n7", "engine": ["x"]}),
+            json.dumps({**good, "id": 5}),
+            json.dumps({**good, "id": "n8", "original_rank": 1.0}),
             json.dumps(good),
             "broken",
         ]
@@ -319,7 +326,7 @@ class TestLoadNews:
         assert [d.id for d in docs] == ["n1"]
         assert report.as_dict() == {
             "accepted": 1,
-            "malformed": 5,
+            "malformed": 9,
             "duplicates": 1,
         }
 

@@ -1,14 +1,11 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from ctvm.errors import ContractViolation, EvalError
 from ctvm.evaluation import (
     DEFAULT_CUTOFFS,
-    GAIN_LINEAR,
     VARIANT_LITERAL,
     EvalRow,
     NdcgConfig,
@@ -28,7 +25,6 @@ from oracles import naive_dcg, naive_mean, naive_ndcg
 NDCG_TOL = 1e-9
 
 LITERAL = NdcgConfig(variant=VARIANT_LITERAL)
-LINEAR = NdcgConfig(gain=GAIN_LINEAR)
 
 
 class TestConfig:
@@ -50,15 +46,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             NdcgConfig(cutoffs=())
 
-    def test_unknown_gain_and_variant(self):
-        with pytest.raises(ValueError, match="gain"):
-            NdcgConfig(gain="cubic")
+    def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             NdcgConfig(variant="modern")
-
-    def test_literal_variant_locks_the_gain(self):
-        with pytest.raises(ValueError, match="literal"):
-            NdcgConfig(gain=GAIN_LINEAR, variant=VARIANT_LITERAL)
 
 
 class TestDcg:
@@ -75,10 +65,6 @@ class TestDcg:
     def test_fractional_relevance(self):
         value = dcg([1.5], 1)
         assert value == pytest.approx(2.0**1.5 - 1.0, abs=NDCG_TOL)
-
-    def test_linear_gain(self):
-        expected = 3 + 2 / math.log2(3) + 1 / 2
-        assert dcg([3, 2, 1], 3, LINEAR) == pytest.approx(expected, abs=NDCG_TOL)
 
     def test_literal_variant_sums_undiscounted_gains(self):
         # 2^(3-1) + 2^(2-1) + 2^(1-1)
@@ -139,15 +125,15 @@ RELEVANCES = st.lists(
     max_size=8,
 )
 CONFIGS = st.sampled_from(
-    [NdcgConfig(), LINEAR, LITERAL, NdcgConfig(cutoffs=(1, 2))]
+    [NdcgConfig(), LITERAL, NdcgConfig(cutoffs=(1, 2))]
 )
 
 
 class TestNdcgProperties:
     @given(RELEVANCES, st.integers(min_value=1, max_value=10), CONFIGS)
     def test_matches_oracle(self, relevances, k, config):
-        expected_dcg = naive_dcg(relevances, k, config.variant, config.gain)
-        expected_ndcg = naive_ndcg(relevances, k, config.variant, config.gain)
+        expected_dcg = naive_dcg(relevances, k, config.variant)
+        expected_ndcg = naive_ndcg(relevances, k, config.variant)
         assert dcg(relevances, k, config) == pytest.approx(
             expected_dcg, abs=NDCG_TOL
         )
