@@ -16,7 +16,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
+import os
+import shutil
 import sys
 from datetime import date
 
@@ -62,13 +65,38 @@ EXIT_INPUT = 1
 EXIT_CONTRACT = 2
 
 
+_TMP_SERIAL = itertools.count()
+
+
 @contextlib.contextmanager
 def _open_out(path: str):
+    """Stdout for "-". A missing path, or a plain file with one link in
+    a writable directory, is written via a temp file beside it that
+    keeps its mode and replaces it only if the block succeeds. Anything
+    else (a symlink, a device, /dev/stdout, a FIFO) is written in place."""
     if path == "-":
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        yield fh
+    if os.path.lexists(path) and (
+        os.path.islink(path)
+        or not os.path.isfile(path)
+        or os.stat(path).st_nlink > 1
+        or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
+    ):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _note(message: str) -> None:
@@ -134,9 +162,7 @@ def cmd_rerank(args) -> int:
     table = load_region_table(args.region_table)
     unknown = [r for r in args.regions if r not in table]
     if unknown:
-        raise InputDataError(
-            f"regions {unknown} are not in the region table"
-        )
+        raise InputDataError(f"regions {unknown} are not in the region table")
     tweets, tweet_report = _load_tweets_file(args.tweets, args, table)
     if tweet_report.malformed:
         _note(f"{tweet_report.malformed} malformed tweet lines dropped")
@@ -164,24 +190,16 @@ def cmd_rerank(args) -> int:
                 f"news references query {query_id!r} missing from {args.queries}"
             )
         pipeline = Pipeline(stopwords=stopwords, query_terms=query.terms())
-        try:
-            rankings = [(engine_ranking(group), None)]
-            for region in args.regions:
-                corpus_slice = slice_corpus(
-                    tweets, group, query, region, day, engine
-                )
-                votes = vote(
-                    corpus_slice,
-                    pipeline,
-                    sim_mode=args.sim,
-                    include_snippet=args.include_snippet,
-                )
-                rankings.append((rerank(group, votes), votes.by_id()))
-        except ContractViolation as exc:
-            raise InputDataError(
-                f"news for {query_id}/{engine}/{day} is not a contiguous "
-                f"top-k list: {exc}"
-            ) from exc
+        rankings = [(engine_ranking(group), None)]
+        for region in args.regions:
+            corpus_slice = slice_corpus(tweets, group, query, region, day, engine)
+            votes = vote(
+                corpus_slice,
+                pipeline,
+                sim_mode=args.sim,
+                include_snippet=args.include_snippet,
+            )
+            rankings.append((rerank(group, votes), votes.by_id()))
         for ranking, votes_by_id in rankings:
             for news_id, position in ranking.entries:
                 record = {
@@ -201,9 +219,10 @@ def cmd_rerank(args) -> int:
     return EXIT_OK
 
 
-def _load_rankings(path: str) -> dict[tuple[str, str, str], list[tuple[str, Ranking]]]:
-    """Group ranking rows into (engine, provenance) -> [(query instance,
-    Ranking)], keyed so each (query, date) pair stays one unit."""
+def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, Ranking]]]]:
+    """Group ranking rows into ((engine, provenance), [(query id, Ranking)])
+    pairs, one unit per (query, date), in eval's output order: by engine,
+    its own ranking first, then other provenances; units by query."""
     rows: dict[tuple[str, str, str, str], list[tuple[int, str]]] = {}
     for lineno, raw in _record_lines(read_input(path)):
         try:
@@ -217,7 +236,7 @@ def _load_rankings(path: str) -> dict[tuple[str, str, str], list[tuple[str, Rank
             record["provenance"],
         )
         rows.setdefault(key, []).append((record["position"], record["news_id"]))
-    grouped: dict[tuple[str, str, str], list[tuple[str, Ranking]]] = {}
+    grouped: dict[tuple[str, str], list[tuple[str, Ranking]]] = {}
     for (query_id, engine, day, provenance), entries in sorted(rows.items()):
         entries.sort()
         try:
@@ -231,10 +250,19 @@ def _load_rankings(path: str) -> dict[tuple[str, str, str], list[tuple[str, Rank
         grouped.setdefault((engine, provenance), []).append((query_id, ranking))
     if not grouped:
         raise InputDataError(f"no ranking rows in {path}")
-    return grouped
+    return sorted(
+        grouped.items(),
+        key=lambda item: (item[0][0], item[0][1] != PROVENANCE_ENGINE, item[0][1]),
+    )
 
 
 EVAL_COLUMNS = ("region", "engine", "provenance", "cutoff", "mean_ndcg", "n_queries")
+
+
+def _eval_cells(region: str, engine: str, row: EvalRow) -> list:
+    """One eval CSV row's cells, in EVAL_COLUMNS order."""
+    value = f"{row.mean_ndcg:.10f}"
+    return [region, engine, row.provenance, row.cutoff, value, row.n_queries]
 
 
 def cmd_eval(args) -> int:
@@ -256,44 +284,20 @@ def cmd_eval(args) -> int:
     regions = args.regions if args.regions else list(lookup.regions())
     config = NdcgConfig(cutoffs=args.cutoffs, variant=args.ndcg)
 
-    out_rows: list[tuple] = []
+    out_rows: list[tuple[str, str, EvalRow]] = []
     for region in regions:
-        for (engine, provenance), units in sorted(
-            grouped.items(),
-            key=lambda item: (
-                item[0][0],
-                item[0][1] != PROVENANCE_ENGINE,
-                item[0][1],
-            ),
-        ):
-            units = sorted(units, key=lambda u: u[0])
+        for (engine, _provenance), units in grouped:
             rows, _scores = mean_ndcg(
-                units,
-                lookup,
-                region,
-                config,
-                require_complete=args.require_complete,
+                units, lookup, region, config, require_complete=args.require_complete
             )
-            for row in rows:
-                out_rows.append(
-                    (
-                        region,
-                        engine,
-                        row.provenance,
-                        row.cutoff,
-                        row.mean_ndcg,
-                        row.n_queries,
-                    )
-                )
+            out_rows.extend((region, engine, row) for row in rows)
     if lookup.misses:
         _note(f"{lookup.misses} ranked docs had no judgment; scored 0")
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(EVAL_COLUMNS)
-        for region, engine, provenance, cutoff, value, n in out_rows:
-            writer.writerow(
-                [region, engine, provenance, cutoff, f"{value:.10f}", n]
-            )
+        for region, engine, row in out_rows:
+            writer.writerow(_eval_cells(region, engine, row))
     return EXIT_OK
 
 
@@ -338,24 +342,17 @@ def cmd_report(args) -> int:
         heading = f"[region={region} engine={engine}]"
         tables.append(format_table(marked, heading))
         marked_csv.extend((region, engine, row) for row in marked)
+    # --csv is written inside the --out block, so a failed --csv write
+    # also leaves an existing --out file unchanged.
     with _open_out(args.out) as out:
         out.write("\n\n".join(tables) + "\n")
-    if args.csv:
-        with _open_out(args.csv) as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(EVAL_COLUMNS + ("better_than_engine",))
-            for region, engine, row in marked_csv:
-                writer.writerow(
-                    [
-                        region,
-                        engine,
-                        row.provenance,
-                        row.cutoff,
-                        f"{row.mean_ndcg:.10f}",
-                        row.n_queries,
-                        str(row.better_than_engine).lower(),
-                    ]
-                )
+        if args.csv:
+            with _open_out(args.csv) as csv_out:
+                writer = csv.writer(csv_out, lineterminator="\n")
+                writer.writerow(EVAL_COLUMNS + ("better_than_engine",))
+                for region, engine, row in marked_csv:
+                    flag = str(row.better_than_engine).lower()
+                    writer.writerow(_eval_cells(region, engine, row) + [flag])
     return EXIT_OK
 
 

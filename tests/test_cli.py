@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
+from ctvm.corpus import format_timestamp
 
 
 def read(path) -> str:
@@ -603,6 +608,115 @@ class TestEval:
         assert code == EXIT_INPUT
         assert err.startswith(f"error: bad ranking row on line 2: {field} ")
 
+    def test_ranking_row_order_does_not_matter(self, golden, tmp_path, capsys):
+        lines = read(golden / "expected_rankings.jsonl").splitlines()
+        rankings = tmp_path / "rankings.jsonl"
+        write_lines(rankings, lines[::-1])
+        out = tmp_path / "rows.csv"
+        code, _, _ = run(
+            capsys,
+            "eval",
+            "--rankings",
+            rankings,
+            "--judgments",
+            golden / "judgments.jsonl",
+            "--out",
+            out,
+        )
+        assert code == EXIT_OK
+        assert out.read_bytes() == (golden / "expected_rows.csv").read_bytes()
+
+
+def test_failed_write_keeps_existing_out(golden, tmp_path, capsys, monkeypatch):
+    """A run that fails while writing --out leaves the old file as it
+    was and no temporary file behind."""
+    out = tmp_path / "enriched.jsonl"
+    out.write_text("from an earlier run\n")
+    written = []
+
+    def format_then_fail(value):
+        if written:
+            raise OSError("disk full")
+        written.append(value)
+        return format_timestamp(value)
+
+    monkeypatch.setattr(cli, "format_timestamp", format_then_fail)
+    code, _, err = run(
+        capsys, "ingest", "--tweets", golden / "tweets.jsonl", "--out", out
+    )
+    assert code == EXIT_INPUT and "disk full" in err
+    assert written
+    assert out.read_text() == "from an earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["enriched.jsonl"]
+
+
+def ingest_golden_to(golden, capsys, out):
+    return run(capsys, "ingest", "--tweets", golden / "tweets.jsonl", "--out", out)
+
+
+def test_replaced_out_keeps_its_mode(golden, tmp_path, capsys):
+    out = tmp_path / "enriched.jsonl"
+    out.write_text("from an earlier run\n")
+    out.chmod(0o640)
+    code, _, _ = ingest_golden_to(golden, capsys, out)
+    assert code == EXIT_OK
+    assert read(out) == read(golden / "expected_enriched.jsonl")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("kind", ["symlink", "hard link"])
+def test_linked_out_is_written_through(kind, golden, tmp_path, capsys):
+    """A symlink or a second hard link to --out stays a link to the
+    file that gets the output."""
+    target = tmp_path / "target.jsonl"
+    target.write_text("from an earlier run\n")
+    link = tmp_path / "link.jsonl"
+    if kind == "symlink":
+        link.symlink_to(target)
+    else:
+        os.link(target, link)
+    code, _, _ = ingest_golden_to(golden, capsys, link)
+    assert code == EXIT_OK
+    assert link.is_symlink() == (kind == "symlink")
+    assert read(target) == read(golden / "expected_enriched.jsonl")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [link.name, target.name]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_to_fifo_is_written_in_place(golden, tmp_path, capsys):
+    """A FIFO (like /dev/stdout or a shell's process substitution) is
+    not a file to replace: it is written directly and stays a FIFO."""
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True
+    )
+    reader.start()
+    code, _, _ = ingest_golden_to(golden, capsys, fifo)
+    reader.join(timeout=10)
+    assert code == EXIT_OK
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == [(golden / "expected_enriched.jsonl").read_bytes()]
+
+
+def test_failed_csv_write_keeps_existing_report(golden, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    out.write_text("from an earlier run\n")
+    code, _, _ = run(
+        capsys,
+        "report",
+        "--rows",
+        golden / "expected_rows.csv",
+        "--out",
+        out,
+        "--csv",
+        tmp_path / "missing_dir" / "marked.csv",
+    )
+    assert code == EXIT_INPUT
+    assert out.read_text() == "from an earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
 
 class TestReport:
     def test_golden_bytes(self, golden, tmp_path, capsys):
@@ -755,8 +869,12 @@ def test_non_utf8_input_exits_one(command, flag, golden, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+# st.text() never draws a lone surrogate; the "Cs" category does. A
+# string is also drawn on its own, because st.recursive mostly draws
+# containers.
+STRINGS = st.text() | st.text(st.characters(categories=["Cs"]), min_size=1)
+JSON_VALUES = STRINGS | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | STRINGS,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=6,
