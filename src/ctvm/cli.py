@@ -68,13 +68,25 @@ EXIT_CONTRACT = 2
 _TMP_SERIAL = itertools.count()
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether path names the file stdout already has open, as
+    /dev/stdout does; reopening it with "w" would truncate it."""
+    try:
+        target = os.stat(path)
+        stdout = os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):
+        return False
+    return (target.st_dev, target.st_ino) == (stdout.st_dev, stdout.st_ino)
+
+
 @contextlib.contextmanager
 def _open_out(path: str):
-    """Stdout for "-". A missing path, or a plain file with one link in
-    a writable directory, is written via a temp file beside it that
-    keeps its mode and replaces it only if the block succeeds. Anything
-    else (a symlink, a device, /dev/stdout, a FIFO) is written in place."""
-    if path == "-":
+    """Stdout for "-" and for a path to the file stdout has open. A
+    missing path, or a plain file with one link in a writable directory,
+    is written via a temp file beside it that keeps its mode and
+    replaces it only if the block succeeds. Anything else (a symlink, a
+    device, a FIFO) is written in place."""
+    if path == "-" or _is_stdout(path):
         yield sys.stdout
         return
     if os.path.lexists(path) and (
@@ -179,6 +191,11 @@ def cmd_rerank(args) -> int:
         groups.setdefault(
             (doc.query_id, doc.engine, doc.retrieved_date), []
         ).append(doc)
+    # Each slice's tweets come from one (region, day) bucket, so
+    # slice_corpus filters that bucket, not every tweet, per slice.
+    buckets: dict[tuple[str | None, date], list] = {}
+    for tweet in tweets:
+        buckets.setdefault((tweet.region, tweet.day()), []).append(tweet)
 
     lines: list[str] = []
     for (query_id, engine, day), group in sorted(groups.items()):
@@ -192,7 +209,9 @@ def cmd_rerank(args) -> int:
         pipeline = Pipeline(stopwords=stopwords, query_terms=query.terms())
         rankings = [(engine_ranking(group), None)]
         for region in args.regions:
-            corpus_slice = slice_corpus(tweets, group, query, region, day, engine)
+            corpus_slice = slice_corpus(
+                buckets.get((region, day), ()), group, query, region, day, engine
+            )
             votes = vote(
                 corpus_slice,
                 pipeline,

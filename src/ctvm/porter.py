@@ -12,6 +12,8 @@ fails no other rule in that step is attempted.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -197,11 +199,16 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=4096)
 def stem(word: str) -> str:
     """Stem a single lowercase alphabetic token.
 
     Tokens containing anything other than ASCII letters are returned
     unchanged; the rules are only defined over a-z.
+
+    Results are memoized for the 4096 most recently used tokens: tweet
+    vocabularies repeat heavily, and the bound keeps a long tail of
+    one-off words from growing the process.
     """
     w = word.lower()
     if not w.isascii() or not w.isalpha():

@@ -23,8 +23,12 @@ SIM_MODES = (MODE_COMMON_SET, MODE_FULL_COSINE)
 
 
 def _validate(vec: TermVector, name: str) -> None:
-    for term, count in vec.items():
-        if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
+    """Every count is exactly an int (not a bool or other subclass) and
+    positive. Runs on every call: cosine is public and this is its one
+    input check."""
+    for count in vec.values():
+        if type(count) is not int or count <= 0:
+            term = next(t for t, c in vec.items() if c is count)
             raise ValueError(
                 f"{name}[{term!r}] must be a positive int, got {count!r}"
             )
@@ -39,11 +43,14 @@ def cosine(a: TermVector, b: TermVector, mode: str = MODE_COMMON_SET) -> float:
     shared = a.keys() & b.keys()
     if not shared:
         return 0.0
-    dot = sum(a[t] * b[t] for t in shared)
-    if mode == MODE_COMMON_SET:
-        norm_a = sum(a[t] * a[t] for t in shared)
-        norm_b = sum(b[t] * b[t] for t in shared)
-    else:
+    dot = norm_a = norm_b = 0
+    for term in shared:
+        x = a[term]
+        y = b[term]
+        dot += x * y
+        norm_a += x * x
+        norm_b += y * y
+    if mode == MODE_FULL_COSINE:
         norm_a = sum(c * c for c in a.values())
         norm_b = sum(c * c for c in b.values())
     # norm_a * norm_b is an exact int, so identical or proportional

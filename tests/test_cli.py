@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctvm
 from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
 from ctvm.corpus import format_timestamp
@@ -303,6 +308,53 @@ class TestRerank:
         )
         assert code == EXIT_INPUT
         assert "nothing to rerank" in err
+
+    @pytest.mark.parametrize("day", [None, "2011-12-12", "2011-12-13"])
+    def test_tweet_order_does_not_change_output(self, day, data_dir, tmp_path, capsys):
+        """The tri-region fixture over two days (day two gives each
+        region the next region's texts) reranks to the same bytes with
+        its tweet lines shuffled, with and without --date."""
+        tri = data_dir / "tri_region"
+        tweets = read(tri / "tweets.jsonl").splitlines()
+        news = read(tri / "news.jsonl").splitlines()
+        tweets += [line.replace("2011-12-12T", "2011-12-13T") for line in tweets]
+        news += [
+            line.replace('"2011-12-12"', '"2011-12-13"').replace('"n', '"m')
+            for line in news
+        ]
+        texts = [json.loads(line)["text"] for line in tweets[:18]]
+        for i in range(18, 36):
+            record = json.loads(tweets[i])
+            record["id"] += "-2"
+            text = texts[(i - 18 + 6) % 18]
+            # repeating a word makes each vote irrational, so a sum
+            # taken in another tweet order can differ in its last bits
+            record["text"] = text + f" {text.split()[1]}" * (1 + i % 3)
+            tweets[i] = json.dumps(record)
+        write_lines(tmp_path / "news.jsonl", news)
+        date_flag = ["--date", day] if day else []
+        outputs = []
+        for name in ("ordered", "shuffled"):
+            write_lines(tmp_path / f"{name}.jsonl", tweets)
+            out = tmp_path / f"{name}.out"
+            code, _, _ = run(
+                capsys, "rerank", "--tweets", tmp_path / f"{name}.jsonl",
+                "--news", tmp_path / "news.jsonl", "--queries",
+                tri / "queries.jsonl", "--out", out, *date_flag,
+            )
+            assert code == EXIT_OK
+            outputs.append(read(out))
+            random.Random(5).shuffle(tweets)
+        assert outputs[0] == outputs[1]
+        rows = [json.loads(line) for line in outputs[0].splitlines()]
+        assert {r["date"] for r in rows} == ({day} if day else
+                                             {"2011-12-12", "2011-12-13"})
+        first = {(r["date"], r["provenance"]): r["news_id"]
+                 for r in rows if r["position"] == 1}
+        if day in (None, "2011-12-12"):
+            assert first["2011-12-12", "ctvm(CA)"] == "n5"
+        if day in (None, "2011-12-13"):
+            assert first["2011-12-13", "ctvm(CA)"] == "m4"
 
     def test_region_without_tweets_reproduces_engine_order(
         self, golden, capsys
@@ -698,6 +750,26 @@ def test_out_to_fifo_is_written_in_place(golden, tmp_path, capsys):
     assert code == EXIT_OK
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert received == [(golden / "expected_enriched.jsonl").read_bytes()]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_to_dev_stdout_appends_to_shell_redirect(golden, tmp_path):
+    """--out /dev/stdout under `>> log` writes through stdout, so the
+    line the log already held survives (reopening it with "w" would
+    truncate it)."""
+    log = tmp_path / "log.jsonl"
+    log.write_text("from an earlier run\n")
+    src = str(Path(ctvm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(log, "a", encoding="utf-8") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "ctvm.cli", "ingest",
+             "--tweets", str(golden / "tweets.jsonl"), "--out", "/dev/stdout"],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert done.returncode == EXIT_OK, done.stderr
+    expected = read(golden / "expected_enriched.jsonl")
+    assert read(log) == "from an earlier run\n" + expected
 
 
 def test_failed_csv_write_keeps_existing_report(golden, tmp_path, capsys):

@@ -204,3 +204,19 @@ def test_stem_never_grows_and_stays_lowercase_alpha(word):
 @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20))
 def test_stem_is_deterministic(word):
     assert stem(word) == stem(word)
+
+
+MEMO_CASES = sorted(FULL_PIPELINE) + [
+    "TAXES", "Congress", "café", "naïve", "ÉCONOMIE", "123", "r2d2", "2012", "s", "",
+]
+
+
+def test_memo_is_transparent():
+    """The memo on stem returns what the rules themselves return, on a
+    cold first call and on a repeat, and it is bounded."""
+    assert stem.cache_info().maxsize == 4096
+    stem.cache_clear()
+    for word in MEMO_CASES:
+        want = stem.__wrapped__(word)
+        assert stem(word) == want
+        assert stem(word) == want

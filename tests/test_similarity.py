@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import math
 
 import pytest
@@ -91,6 +92,22 @@ class TestValidation:
     def test_float_count(self):
         with pytest.raises(ValueError):
             cosine({"a": 1.0}, {"a": 1})
+
+    @pytest.mark.parametrize("mode", SIM_MODES)
+    def test_bad_count_on_unshared_term(self, mode):
+        # a bad count on a term the other vector lacks is still caught
+        with pytest.raises(ValueError, match=r"b\['z'\]"):
+            cosine({"a": 1}, {"z": 0}, mode)
+        with pytest.raises(ValueError, match=r"a\['z'\]"):
+            cosine({"a": 1, "z": -1}, {"a": 1}, mode)
+
+    def test_int_subclass_count(self):
+        # the same exact-type rule the record parser applies
+        class Count(enum.IntEnum):
+            ONE = 1
+
+        with pytest.raises(ValueError, match="positive int"):
+            cosine({"a": Count.ONE}, {"a": 1})
 
 
 VECTORS = st.dictionaries(
