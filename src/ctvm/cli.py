@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -71,6 +72,8 @@ _TMP_SERIAL = itertools.count()
 def _is_stdout(path: str) -> bool:
     """Whether path names the file stdout already has open, as
     /dev/stdout does; reopening it with "w" would truncate it."""
+    if sys.stdout is None:  # started with stdout closed (`>&-`)
+        return False
     try:
         target = os.stat(path)
         stdout = os.fstat(sys.stdout.fileno())
@@ -80,14 +83,34 @@ def _is_stdout(path: str) -> bool:
 
 
 @contextlib.contextmanager
-def _open_out(path: str):
-    """Stdout for "-" and for a path to the file stdout has open. A
-    missing path, or a plain file with one link in a writable directory,
-    is written via a temp file beside it that keeps its mode and
-    replaces it only if the block succeeds. Anything else (a symlink, a
-    device, a FIFO) is written in place."""
-    if path == "-" or _is_stdout(path):
+def _utf8_stdout():
+    """Stdout as UTF-8, like every output file, whatever the locale
+    says. Writes go straight through to stdout's own buffer, so output
+    keeps its order and a shell's `>>` still appends."""
+    if sys.stdout is None:  # started with stdout closed (`>&-`)
+        raise OSError("stdout is closed")
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only replacement has no encoding to fix
         yield sys.stdout
+        return
+    sys.stdout.flush()
+    out = io.TextIOWrapper(buffer, encoding="utf-8", write_through=True)
+    try:
+        yield out
+    finally:
+        out.detach()  # flushes, and leaves stdout's buffer open
+
+
+@contextlib.contextmanager
+def _open_out(path: str):
+    """UTF-8 stdout for "-" and for a path to the file stdout has open.
+    A missing path, or a plain file with one link in a writable
+    directory, is written via a temp file beside it that keeps its mode
+    and replaces it only if the block succeeds. Anything else (a
+    symlink, a device, a FIFO) is written in place."""
+    if path == "-" or _is_stdout(path):
+        with _utf8_stdout() as out:
+            yield out
         return
     if os.path.lexists(path) and (
         os.path.islink(path)

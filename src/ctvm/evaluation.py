@@ -10,13 +10,28 @@ relevance 0 to 0.5, not 0, so unjudged tails still earn credit; it is
 kept for comparability, not recommended.
 
 Relevance values are mean judge scores and may be fractional.
+
+mean_ndcg scores many rankings under one region's judgments: eval runs
+it once per (region, engine, provenance), and every provenance of a
+(query, engine, date) ranks the same docs. So what one lookup, region
+and NdcgConfig share is built once, on the first call, and kept for the
+lookup's lifetime: the region's gains per query, the gain of an
+unjudged doc, the discounts, and the ideal DCG per cutoff keyed by the
+sorted gains. Each ranking then costs one gain lookup per doc and one
+running-sum pass that yields DCG at every cutoff. That pass adds the
+same terms in the same order as dcg, one at a time; builtin sum() is
+not used, because from Python 3.12 it sums floats with compensation and
+would change the last bits, and with them the eval CSV.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from itertools import accumulate, repeat
+from operator import truediv
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractViolation, EvalError
 from .judgments import RelevanceLookup
@@ -77,6 +92,7 @@ def ndcg(relevances: Sequence[float], k: int, config: NdcgConfig = DEFAULT_CONFI
 
     When even the ideal ordering scores zero (standard variant with all
     relevances zero), the ranking can show nothing and scores 0.0.
+    mean_ndcg gives this same float for every ranking it scores.
     """
     ideal = sorted(relevances, reverse=True)
     ideal_dcg = dcg(ideal, k, config)
@@ -96,8 +112,10 @@ def ranking_relevances(
     return [lookup.get(query_id, news_id, region) for news_id in ranking.ids()]
 
 
-@dataclass(frozen=True)
-class QueryScore:
+class QueryScore(NamedTuple):
+    """One query instance's NDCG at one cutoff. A named tuple, because
+    eval builds one per (region, provenance, query instance, cutoff)."""
+
     query_id: str
     cutoff: int
     value: float
@@ -110,6 +128,67 @@ class EvalRow:
     mean_ndcg: float
     n_queries: int
     better_than_engine: bool = False
+
+
+class _RegionView:
+    """What every ranking scored under one (lookup, region, config)
+    shares: the region's gains per query, an unjudged doc's gain, the
+    discounts, and the ideal DCG at each cutoff per sorted gains."""
+
+    def __init__(
+        self, lookup: RelevanceLookup, region: str, config: NdcgConfig
+    ) -> None:
+        self.gains = {
+            query_id: {
+                news_id: _gain(relevance, config)
+                for news_id, relevance in cells.items()
+            }
+            for query_id, cells in lookup.region_cells(region).items()
+        }
+        self.unjudged = _gain(0.0, config)
+        self.cutoffs = config.cutoffs
+        # discounts[i] divides the gain at position i + 1; the literal
+        # variant has none, and x / 1.0 == x exactly
+        self._log2 = config.variant != VARIANT_LITERAL
+        self._discounts: list[float] = []
+        # ranking length -> index of each cutoff's prefix
+        self._picks: dict[int, tuple[int, ...]] = {}
+        self.ideal: dict[tuple[float, ...], tuple[float, ...]] = {}
+
+    def cutoff_dcgs(self, gains: Sequence[float]) -> list[float]:
+        """dcg(relevances, k) for each cutoff k, where gains are the
+        relevances' gains: one running-sum pass over the same terms,
+        added in the same order, so every value is the same float."""
+        n = min(len(gains), self.cutoffs[-1])
+        picks = self._picks.get(n)
+        if picks is None:
+            picks = self._picks[n] = tuple(min(k, n) - 1 for k in self.cutoffs)
+            discounts = self._discounts
+            while len(discounts) < n:
+                position = len(discounts) + 1
+                discounts.append(math.log2(position + 1) if self._log2 else 1.0)
+        if not n:
+            return [0.0] * len(picks)
+        prefix = list(accumulate(map(truediv, gains[:n], self._discounts)))
+        return [prefix[i] for i in picks]
+
+
+# lookup -> (region, config) -> view; an entry goes with its lookup
+_VIEWS: weakref.WeakKeyDictionary[
+    RelevanceLookup, dict[tuple[str, NdcgConfig], _RegionView]
+] = weakref.WeakKeyDictionary()
+
+
+def _region_view(
+    lookup: RelevanceLookup, region: str, config: NdcgConfig
+) -> _RegionView:
+    views = _VIEWS.get(lookup)
+    if views is None:
+        views = _VIEWS[lookup] = {}
+    view = views.get((region, config))
+    if view is None:
+        view = views[(region, config)] = _RegionView(lookup, region, config)
+    return view
 
 
 def mean_ndcg(
@@ -125,8 +204,10 @@ def mean_ndcg(
     units pair each query instance with its ranking; all must share one
     provenance. With require_complete, a query whose ranking contains
     any unjudged doc (for this region) is left out entirely; otherwise
-    unjudged docs score 0. Zero evaluable queries is an error, not a
-    silent zero. math.fsum keeps the mean independent of unit order.
+    unjudged docs score 0 and each one adds to lookup.misses. Zero
+    evaluable queries is an error, not a silent zero. math.fsum keeps
+    the mean independent of unit order. Every value equals
+    ndcg(ranking_relevances(...), k, config) exactly.
     """
     if not units:
         raise EvalError(f"no rankings to evaluate for region {region}")
@@ -136,29 +217,42 @@ def mean_ndcg(
             f"mean_ndcg expects one provenance, got {sorted(provenances)}"
         )
     provenance = provenances.pop()
-    evaluable: list[tuple[str, list[float]]] = []
+    view = _region_view(lookup, region, config)
+    region_gains, ideal_memo = view.gains, view.ideal
+    no_cells: dict[str, float] = {}
+    query_ids: list[str] = []
+    per_unit: list[list[float]] = []
+    misses = 0
     for query_id, ranking in units:
-        if require_complete and any(
-            not lookup.contains(query_id, news_id, region)
-            for news_id in ranking.ids()
-        ):
-            continue
-        evaluable.append(
-            (query_id, ranking_relevances(ranking, lookup, query_id, region))
+        gains = list(map(region_gains.get(query_id, no_cells).get, ranking.ids()))
+        unjudged = gains.count(None)
+        if unjudged:
+            if require_complete:
+                continue
+            misses += unjudged
+            gains = [view.unjudged if gain is None else gain for gain in gains]
+        # gain rises with relevance, so these are ndcg's ideal ordering
+        ideal_key = tuple(sorted(gains, reverse=True))
+        ideals = ideal_memo.get(ideal_key)
+        if ideals is None:
+            ideals = ideal_memo[ideal_key] = tuple(view.cutoff_dcgs(ideal_key))
+        query_ids.append(query_id)
+        per_unit.append(
+            [
+                0.0 if ideal == 0.0 else min(1.0, actual / ideal)
+                for actual, ideal in zip(view.cutoff_dcgs(gains), ideals)
+            ]
         )
-    if not evaluable:
+    lookup.misses += misses
+    if not per_unit:
         raise EvalError(
             f"no evaluable queries for {provenance} in region {region} "
             f"(require_complete dropped all {len(units)})"
         )
     rows: list[EvalRow] = []
     scores: list[QueryScore] = []
-    for k in config.cutoffs:
-        values = [ndcg(rels, k, config) for _, rels in evaluable]
-        scores.extend(
-            QueryScore(query_id, k, value)
-            for (query_id, _), value in zip(evaluable, values)
-        )
+    for k, values in zip(config.cutoffs, zip(*per_unit)):
+        scores.extend(map(QueryScore, query_ids, repeat(k), values))
         rows.append(
             EvalRow(
                 provenance=provenance,

@@ -149,6 +149,8 @@ class RelevanceLookup:
 
     A missing cell scores 0.0: unjudged means not known to be relevant.
     The miss counter lets callers report how often that default fired.
+    Cells are indexed once, as region -> query -> news -> relevance, so
+    a caller scoring one region can take that region's cells whole.
     """
 
     def __init__(
@@ -157,24 +159,32 @@ class RelevanceLookup:
         *,
         round_scores: bool = False,
     ) -> None:
-        self._table: dict[tuple[str, str, str], float] = {}
+        self._index: dict[str, dict[str, dict[str, float]]] = {}
+        self._cells = 0
         for js in judgment_sets:
             value = round_half_up(js.relevance) if round_scores else js.relevance
-            self._table[js.key()] = value
+            news = self._index.setdefault(js.region, {}).setdefault(js.query_id, {})
+            self._cells += js.news_id not in news
+            news[js.news_id] = value
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._table)
+        return self._cells
 
     def contains(self, query_id: str, news_id: str, region: str) -> bool:
-        return (query_id, news_id, region) in self._table
+        return news_id in self.region_cells(region).get(query_id, {})
 
     def get(self, query_id: str, news_id: str, region: str) -> float:
         try:
-            return self._table[(query_id, news_id, region)]
+            return self._index[region][query_id][news_id]
         except KeyError:
             self.misses += 1
             return 0.0
 
+    def region_cells(self, region: str) -> dict[str, dict[str, float]]:
+        """One region's judged cells as query -> news -> relevance; empty
+        for a region nobody judged. Callers must not modify it."""
+        return self._index.get(region, {})
+
     def regions(self) -> tuple[str, ...]:
-        return tuple(sorted({key[2] for key in self._table}))
+        return tuple(sorted(self._index))

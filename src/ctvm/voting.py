@@ -104,9 +104,11 @@ class Ranking:
             if news_id in seen:
                 raise ValueError(f"duplicate news id in ranking: {news_id}")
             seen.add(news_id)
+        # built once: eval asks for the ids once per region
+        object.__setattr__(self, "_ids", tuple(news_id for news_id, _ in self.entries))
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(news_id for news_id, _ in self.entries)
+        return self._ids
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -592,6 +594,46 @@ class TestEval:
         assert loose_out.splitlines()[1].endswith(",2")
         assert strict_out.splitlines()[1].endswith(",1")
 
+    def test_miss_note_counts_scored_units_only(self, data_dir, tmp_path, capsys):
+        """The tri-region rankings plus a second day in which every
+        ranking holds one unjudged doc (n9 for n5). Without the flag each
+        of the 3 regions x 4 provenances misses n9 once; with it, day two
+        is skipped, the rest scores as day one alone, and no miss is
+        noted."""
+        tri = data_dir / "tri_region"
+        day_one = tmp_path / "day_one.jsonl"
+        code, _, _ = run(
+            capsys, "rerank", "--tweets", tri / "tweets.jsonl", "--news",
+            tri / "news.jsonl", "--queries", tri / "queries.jsonl",
+            "--regions", "CA,NY,TX", "--out", day_one,
+        )
+        assert code == EXIT_OK
+        lines = read(day_one).splitlines()
+        day_two = [
+            line.replace('"2011-12-12"', '"2011-12-13"').replace('"n5"', '"n9"')
+            for line in lines
+        ]
+        both_days = tmp_path / "both_days.jsonl"
+        write_lines(both_days, lines + day_two)
+
+        def evaluate(rankings, *flags):
+            code, out, err = run(
+                capsys, "eval", "--rankings", rankings, "--judgments",
+                tri / "judgments.jsonl", "--out", "-", *flags,
+            )
+            assert code == EXIT_OK
+            return out, err
+
+        loose, loose_err = evaluate(both_days)
+        assert "note: 12 ranked docs had no judgment; scored 0" in loose_err
+        assert {line.split(",")[5] for line in loose.splitlines()[1:]} == {"2"}
+        strict, strict_err = evaluate(both_days, "--require-complete")
+        assert "no judgment" not in strict_err
+        alone, alone_err = evaluate(day_one)
+        assert "no judgment" not in alone_err
+        assert strict == alone
+        assert {line.split(",")[5] for line in strict.splitlines()[1:]} == {"1"}
+
     def test_malformed_ranking_row_exits_one(self, golden, tmp_path, capsys):
         rankings = tmp_path / "rankings.jsonl"
         write_lines(rankings, [json.dumps({"query_id": "q"})])
@@ -770,6 +812,71 @@ def test_out_to_dev_stdout_appends_to_shell_redirect(golden, tmp_path):
     assert done.returncode == EXIT_OK, done.stderr
     expected = read(golden / "expected_enriched.jsonl")
     assert read(log) == "from an earlier run\n" + expected
+
+
+@pytest.mark.parametrize("target", ["-", "/dev/stdout"])
+def test_stdout_is_utf8_whatever_the_locale(target, tmp_path):
+    """Stdout gets UTF-8 bytes, like an --out file, even when Python's
+    own stdout encoding (here latin-1) cannot encode the text."""
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text(
+        json.dumps(
+            {
+                "id": "t1",
+                "text": "snow day \U0001F600 in austin",
+                "timestamp": "2011-12-12T10:00:00Z",
+                "user_location": "Austin, TX",
+            }
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    src = str(Path(ctvm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="latin-1")
+    done = subprocess.run(
+        [sys.executable, "-m", "ctvm.cli", "ingest",
+         "--tweets", str(tweets), "--out", target],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert b"Traceback" not in done.stderr
+    record = json.loads(done.stdout.decode("utf-8"))
+    assert record["text"] == "snow day \U0001F600 in austin"
+    assert record["region"] == "TX"
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_closed_stdout_gives_no_traceback(to_stdout, golden, tmp_path):
+    """Started with stdout closed, a run writes an existing --out file
+    as usual, and `--out -` exits 1 with one error line."""
+    out = tmp_path / "enriched.jsonl"
+    out.write_text("from an earlier run\n")
+    target = "-" if to_stdout else str(out)
+    src = str(Path(ctvm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m ctvm.cli ingest --tweets "$1" --out "$2" >&-',
+         sys.executable, str(golden / "tweets.jsonl"), target],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert "Traceback" not in done.stderr
+    if to_stdout:
+        assert done.returncode == EXIT_INPUT
+        assert "error: stdout is closed" in done.stderr
+    else:
+        assert done.returncode == EXIT_OK, done.stderr
+        assert read(out) == read(golden / "expected_enriched.jsonl")
+
+
+def test_text_only_stdout_is_written_as_text(golden):
+    """A stdout with no byte buffer under it (redirect_stdout to a
+    StringIO, a notebook's stream) takes the text as it is."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main(["ingest", "--tweets", str(golden / "tweets.jsonl"),
+                     "--out", "-"])
+    assert code == EXIT_OK
+    assert sink.getvalue() == read(golden / "expected_enriched.jsonl")
 
 
 def test_failed_csv_write_keeps_existing_report(golden, tmp_path, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctvm.errors import ContractViolation, EvalError
 from ctvm.evaluation import (
@@ -17,7 +19,7 @@ from ctvm.evaluation import (
     ndcg,
     ranking_relevances,
 )
-from ctvm.judgments import RelevanceLookup, aggregate, JudgmentRecord
+from ctvm.judgments import JudgmentRecord, JudgmentSet, RelevanceLookup, aggregate
 from ctvm.voting import Ranking
 
 from oracles import naive_dcg, naive_mean, naive_ndcg
@@ -291,6 +293,109 @@ class TestMeanNdcg:
         rows, _ = mean_ndcg(shuffled, lookup, "CA", NdcgConfig(cutoffs=(2,)))
         # fsum makes this exact equality, not approx
         assert rows[0].mean_ndcg == baseline_rows[0].mean_ndcg
+
+
+NEWS_IDS = tuple(f"n{i}" for i in range(8))
+CELL_KEYS = tuple(
+    (query_id, news_id, region)
+    for query_id in ("q0", "q1")
+    for news_id in NEWS_IDS
+    for region in ("CA", "NY")
+)
+# each cell unjudged, a mean of judge scores, or any relevance in [0, 3]
+CELLS = st.lists(
+    st.none()
+    | st.integers(min_value=0, max_value=9).map(lambda n: n / 3)
+    | st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+    min_size=len(CELL_KEYS),
+    max_size=len(CELL_KEYS),
+).map(lambda values: {k: v for k, v in zip(CELL_KEYS, values) if v is not None})
+UNITS = st.lists(
+    st.tuples(
+        st.sampled_from(("q0", "q1", "q9")),
+        st.permutations(NEWS_IDS).flatmap(
+            lambda ids: st.integers(0, len(ids)).map(
+                lambda n: ranked(list(ids[:n]), "ctvm(CA)")
+            )
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+# cutoffs may run past the longest ranking (8 docs)
+ANY_CONFIG = st.builds(
+    NdcgConfig,
+    cutoffs=st.sets(st.integers(min_value=1, max_value=12), min_size=1).map(
+        lambda ks: tuple(sorted(ks))
+    ),
+    variant=st.sampled_from(["standard", VARIANT_LITERAL]),
+)
+
+
+def lookup_of(cells: dict[tuple[str, str, str], float]) -> RelevanceLookup:
+    return RelevanceLookup(
+        JudgmentSet(query_id, news_id, region, (), relevance)
+        for (query_id, news_id, region), relevance in cells.items()
+    )
+
+
+def reference_scores(units, cells, region, config, require_complete):
+    """mean_ndcg's scores and miss count, one ndcg call per (unit, k)."""
+    lookup = lookup_of(cells)
+    kept = [
+        (query_id, ranking_relevances(ranking, lookup, query_id, region))
+        for query_id, ranking in units
+        if not require_complete
+        or all(lookup.contains(query_id, n, region) for n in ranking.ids())
+    ]
+    scores = [
+        QueryScore(query_id, k, ndcg(relevances, k, config))
+        for k in config.cutoffs
+        for query_id, relevances in kept
+    ]
+    return scores, lookup.misses
+
+
+class TestMeanNdcgExactness:
+    """mean_ndcg shares gains, discounts and ideal DCGs across calls;
+    every score must still be the very float ndcg gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        CELLS,
+        UNITS,
+        st.sampled_from(("CA", "NY", "TX")),
+        ANY_CONFIG,
+        st.booleans(),
+    )
+    def test_scores_equal_ndcg_exactly(
+        self, cells, units, region, config, require_complete
+    ):
+        expected, expected_misses = reference_scores(
+            units, cells, region, config, require_complete
+        )
+        lookup = lookup_of(cells)
+        if not expected:
+            with pytest.raises(EvalError, match="require_complete"):
+                mean_ndcg(units, lookup, region, config, require_complete=True)
+            return
+        rows, scores = mean_ndcg(
+            units, lookup, region, config, require_complete=require_complete
+        )
+        assert scores == expected
+        assert lookup.misses == expected_misses
+        for row in rows:
+            values = [s.value for s in scores if s.cutoff == row.cutoff]
+            assert row.mean_ndcg == math.fsum(values) / len(values)
+            assert row.n_queries == len(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(CELLS, UNITS, st.sampled_from(("CA", "NY")))
+    def test_variants_do_not_share_state(self, cells, units, region):
+        shared = lookup_of(cells)
+        for config in (NdcgConfig(), LITERAL, NdcgConfig()):
+            fresh = mean_ndcg(units, lookup_of(cells), region, config)
+            assert mean_ndcg(units, shared, region, config) == fresh
 
 
 def row(provenance, cutoff, value, marked=False):
