@@ -7,72 +7,78 @@ departures; we avoid them so that stems are reproducible from the printed
 rule tables alone.
 
 Within a step the longest matching suffix wins, and if its condition
-fails no other rule in that step is attempted.
+fails no other rule in that step is attempted. Steps 2-4 find that
+suffix by dispatching on the word's next-to-last letter, the control
+flow of Porter's reference C stemmer (which switches on b[k-1]): every
+rule suffix has at least two letters, so a suffix can only match a word
+that shares its next-to-last letter, and each step's rules are indexed
+by that letter, longest suffix first within a letter. A word tries at
+most the five suffixes of its letter's bucket instead of a whole table
+of up to twenty.
+
+The conditions read a word's consonant/vowel pattern, one "c" or "v"
+per letter, built in one left-to-right pass: a letter's class depends
+only on the letters before it (y is a vowel after a consonant and a
+consonant otherwise), so no letter is classified twice and a long run
+of y is no deeper than a short one. The measure m is the number of "vc"
+pairs in the pattern.
 """
 
 from __future__ import annotations
 
 import functools
 
-_VOWELS = frozenset("aeiou")
+# a-z to "v" (vowel) or "c" (consonant); y stays "y" until _pattern
+# decides it from its left neighbour
+_CLASSES = str.maketrans("aeioubcdfghjklmnpqrstvwxz", "v" * 5 + "c" * 20)
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a consonant at the start of a word or after a vowel
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _pattern(word: str) -> str:
+    """The consonant/vowel pattern of a lowercase a-z word."""
+    pattern = word.translate(_CLASSES)
+    if "y" not in pattern:
+        return pattern
+    letters = []
+    prev = "v"  # so that a leading y is a consonant
+    for cls in pattern:
+        if cls == "y":
+            cls = "v" if prev == "c" else "c"
+        letters.append(cls)
+        prev = cls
+    return "".join(letters)
 
 
 def _measure(stem: str) -> int:
     """Count VC sequences: the m in [C](VC)^m[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+    return _pattern(stem).count("vc")
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _pattern(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
     return (
         len(word) >= 2
         and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
+        and _pattern(word).endswith("c")
     )
 
 
 def _ends_cvc(word: str) -> bool:
     # consonant-vowel-consonant where the final consonant is not w, x or y
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return not word.endswith(("w", "x", "y")) and _pattern(word).endswith("cvc")
 
 
 def _apply_step(word: str, rules, min_measure: int) -> str:
     """Apply the longest matching rule of a step, or nothing.
 
-    rules must be ordered longest suffix first. Once a suffix matches,
-    the step is decided: either that rule's condition holds and it
-    rewrites the word, or the whole step is a no-op.
+    rules maps a next-to-last letter to that letter's rules, longest
+    suffix first. Once a suffix matches, the step is decided: either
+    that rule's condition holds and it rewrites the word, or the whole
+    step is a no-op.
     """
-    for suffix, replacement, extra in rules:
+    for suffix, replacement, extra in rules.get(word[-2:-1], ()):
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > min_measure and (extra is None or extra(stem)):
@@ -81,8 +87,17 @@ def _apply_step(word: str, rules, min_measure: int) -> str:
     return word
 
 
+def _by_next_to_last(rules):
+    """Index a step's rules, listed longest suffix first, by each
+    suffix's next-to-last letter; each bucket keeps the listed order."""
+    buckets: dict[str, list] = {}
+    for rule in rules:
+        buckets.setdefault(rule[0][-2], []).append(rule)
+    return {letter: tuple(bucket) for letter, bucket in buckets.items()}
+
+
 # (suffix, replacement, extra condition on the stem)
-_STEP2_RULES = (
+_STEP2_RULES = _by_next_to_last((
     ("ational", "ate", None),
     ("ization", "ize", None),
     ("iveness", "ive", None),
@@ -103,9 +118,9 @@ _STEP2_RULES = (
     ("alli", "al", None),
     ("ator", "ate", None),
     ("eli", "e", None),
-)
+))
 
-_STEP3_RULES = (
+_STEP3_RULES = _by_next_to_last((
     ("icate", "ic", None),
     ("ative", "", None),
     ("alize", "al", None),
@@ -113,9 +128,9 @@ _STEP3_RULES = (
     ("ical", "ic", None),
     ("ness", "", None),
     ("ful", "", None),
-)
+))
 
-_STEP4_RULES = (
+_STEP4_RULES = _by_next_to_last((
     ("ement", "", None),
     ("ance", "", None),
     ("ence", "", None),
@@ -135,7 +150,7 @@ _STEP4_RULES = (
     ("er", "", None),
     ("ic", "", None),
     ("ou", "", None),
-)
+))
 
 
 def _step1a(word: str) -> str:
@@ -190,11 +205,8 @@ def _step5a(word: str) -> str:
 
 
 def _step5b(word: str) -> str:
-    if (
-        _measure(word) > 1
-        and _ends_double_consonant(word)
-        and word[-1] == "l"
-    ):
+    # ll is the only double consonant this step undoubles
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 

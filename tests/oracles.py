@@ -3,8 +3,10 @@
 Everything here is written from the contract, not from the package
 internals: different data structures, different accumulation order,
 math.log(x, 2) instead of log2, repeated selection instead of sort.
-The one shared piece is the Porter stemmer, which has its own
-published-vector tests; these oracles check the pipeline around it.
+naive_vector shares one piece with the package, ctvm.porter.stem, so
+that these oracles check the pipeline around the stemmer. The stemmer
+itself is pinned by its published-vector tests and by naive_stem, an
+earlier, plainer implementation of the same rules.
 """
 
 from __future__ import annotations
@@ -179,3 +181,216 @@ def naive_resolve(
 
 def naive_mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
+
+
+# naive_stem: the Porter stemmer as it stood before ctvm.porter indexed
+# its rules and classified letters in one pass. Each step tries every
+# suffix of its table in turn, and each letter is classified by
+# _naive_is_consonant, which recurses on a run of y: a word holding more
+# than about a thousand y in a row raises RecursionError here, so
+# callers keep y runs short.
+
+_NAIVE_VOWELS = frozenset("aeiou")
+
+
+def _naive_is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _NAIVE_VOWELS:
+        return False
+    if ch == "y":
+        # y is a consonant at the start of a word or after a vowel
+        return i == 0 or not _naive_is_consonant(word, i - 1)
+    return True
+
+
+def _naive_measure(stem: str) -> int:
+    """Count VC sequences: the m in [C](VC)^m[V]."""
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        if _naive_is_consonant(stem, i):
+            if prev_vowel:
+                m += 1
+            prev_vowel = False
+        else:
+            prev_vowel = True
+    return m
+
+
+def _naive_contains_vowel(stem: str) -> bool:
+    return any(not _naive_is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _naive_ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _naive_is_consonant(word, len(word) - 1)
+    )
+
+
+def _naive_ends_cvc(word: str) -> bool:
+    # consonant-vowel-consonant where the final consonant is not w, x or y
+    if len(word) < 3:
+        return False
+    return (
+        _naive_is_consonant(word, len(word) - 3)
+        and not _naive_is_consonant(word, len(word) - 2)
+        and _naive_is_consonant(word, len(word) - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+def _naive_apply_step(word: str, rules, min_measure: int) -> str:
+    """Apply the longest matching rule of a step, or nothing.
+
+    rules must be ordered longest suffix first. Once a suffix matches,
+    the step is decided: either that rule's condition holds and it
+    rewrites the word, or the whole step is a no-op.
+    """
+    for suffix, replacement, extra in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if _naive_measure(stem) > min_measure and (extra is None or extra(stem)):
+                return stem + replacement
+            return word
+    return word
+
+
+# (suffix, replacement, extra condition on the stem)
+_NAIVE_STEP2_RULES = (
+    ("ational", "ate", None),
+    ("ization", "ize", None),
+    ("iveness", "ive", None),
+    ("fulness", "ful", None),
+    ("ousness", "ous", None),
+    ("tional", "tion", None),
+    ("biliti", "ble", None),
+    ("entli", "ent", None),
+    ("ousli", "ous", None),
+    ("ation", "ate", None),
+    ("alism", "al", None),
+    ("aliti", "al", None),
+    ("iviti", "ive", None),
+    ("enci", "ence", None),
+    ("anci", "ance", None),
+    ("izer", "ize", None),
+    ("abli", "able", None),
+    ("alli", "al", None),
+    ("ator", "ate", None),
+    ("eli", "e", None),
+)
+
+_NAIVE_STEP3_RULES = (
+    ("icate", "ic", None),
+    ("ative", "", None),
+    ("alize", "al", None),
+    ("iciti", "ic", None),
+    ("ical", "ic", None),
+    ("ness", "", None),
+    ("ful", "", None),
+)
+
+_NAIVE_STEP4_RULES = (
+    ("ement", "", None),
+    ("ance", "", None),
+    ("ence", "", None),
+    ("able", "", None),
+    ("ible", "", None),
+    ("ment", "", None),
+    ("ant", "", None),
+    ("ent", "", None),
+    ("ion", "", lambda stem: stem.endswith(("s", "t"))),
+    ("ism", "", None),
+    ("ate", "", None),
+    ("iti", "", None),
+    ("ous", "", None),
+    ("ive", "", None),
+    ("ize", "", None),
+    ("al", "", None),
+    ("er", "", None),
+    ("ic", "", None),
+    ("ou", "", None),
+)
+
+
+def _naive_step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _naive_step1b(word: str) -> str:
+    if word.endswith("eed"):
+        if _naive_measure(word[:-3]) > 0:
+            return word[:-1]
+        return word
+    if word.endswith("ed") and _naive_contains_vowel(word[:-2]):
+        word = word[:-2]
+    elif word.endswith("ing") and _naive_contains_vowel(word[:-3]):
+        word = word[:-3]
+    else:
+        return word
+    # fix-ups after removing ed/ing
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _naive_ends_double_consonant(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _naive_measure(word) == 1 and _naive_ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _naive_step1c(word: str) -> str:
+    if word.endswith("y") and _naive_contains_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+def _naive_step5a(word: str) -> str:
+    if not word.endswith("e"):
+        return word
+    stem = word[:-1]
+    m = _naive_measure(stem)
+    if m > 1:
+        return stem
+    if m == 1 and not _naive_ends_cvc(stem):
+        return stem
+    return word
+
+
+def _naive_step5b(word: str) -> str:
+    if (
+        _naive_measure(word) > 1
+        and _naive_ends_double_consonant(word)
+        and word[-1] == "l"
+    ):
+        return word[:-1]
+    return word
+
+
+def naive_stem(word: str) -> str:
+    """Stem a single lowercase alphabetic token.
+
+    Tokens containing anything other than ASCII letters are returned
+    unchanged; the rules are only defined over a-z. Unlike
+    ctvm.porter.stem, nothing is memoized.
+    """
+    w = word.lower()
+    if not w.isascii() or not w.isalpha():
+        return word
+    w = _naive_step1a(w)
+    w = _naive_step1b(w)
+    w = _naive_step1c(w)
+    w = _naive_apply_step(w, _NAIVE_STEP2_RULES, 0)
+    w = _naive_apply_step(w, _NAIVE_STEP3_RULES, 0)
+    w = _naive_apply_step(w, _NAIVE_STEP4_RULES, 1)
+    w = _naive_step5a(w)
+    w = _naive_step5b(w)
+    return w

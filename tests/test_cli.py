@@ -1147,3 +1147,27 @@ class TestPipelineEndToEnd:
             capsys, "report", "--rows", rows, "--out", report,
         )[0] == EXIT_OK
         assert read(report) == read(golden / "expected_report.txt")
+
+
+def test_long_y_run_in_a_title_reranks(golden, tmp_path):
+    """News titles have no length cap, so a token holding a long run of
+    y reaches the stemmer whole; it must stem without a traceback. The
+    new token is shared with no tweet, so the rankings do not move."""
+    lines = read(golden / "news.jsonl").splitlines()
+    first = json.loads(lines[0])
+    first["title"] += " a" + "y" * 1500
+    news = tmp_path / "news.jsonl"
+    write_lines(news, [json.dumps(first)] + lines[1:])
+    out = tmp_path / "rankings.jsonl"
+    src = str(Path(ctvm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ctvm.cli", "rerank",
+         "--tweets", str(golden / "tweets.jsonl"), "--news", str(news),
+         "--queries", str(golden / "queries.jsonl"), "--regions", "CA",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == EXIT_OK, done.stderr
+    assert read(out) == read(golden / "expected_rankings.jsonl")

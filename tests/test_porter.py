@@ -5,14 +5,22 @@ are applied to the matching step in isolation; a word's full-pipeline
 output often differs because later steps keep rewriting ("valenci"
 passes step 2 as "valence" and step 5a then drops the e). Full-pipeline
 cases below were each traced by hand through all eight steps.
+
+Every word here is also checked against naive_stem (tests/oracles.py),
+the plainer implementation of the same rules that this module's
+indexed rules and one-pass letter classes replaced.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import random
 import string
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import naive_stem
 
 from ctvm.porter import (
     _apply_step,
@@ -220,3 +228,112 @@ def test_memo_is_transparent():
         want = stem.__wrapped__(word)
         assert stem(word) == want
         assert stem(word) == want
+
+
+def test_long_y_run_stems_without_recursing():
+    # each y's class depends on the letter before it; a classifier that
+    # recurses leftwards through a run of y overflows the stack here
+    word = "a" + "y" * 5000
+    assert stem(word) == "a" + "y" * 4999 + "i"   # 1c only
+
+
+PUBLISHED_WORDS = sorted(
+    set().union(
+        STEP1A, STEP1B, STEP1C, STEP2, STEP3, STEP4, STEP5A, STEP5B,
+        FULL_PIPELINE, MEASURE_CASES,
+    )
+)
+
+
+@pytest.mark.parametrize("word", PUBLISHED_WORDS)
+def test_published_words_match_naive(word):
+    assert stem.__wrapped__(word) == naive_stem(word)
+
+
+def _load_perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_vocabulary_matches_naive():
+    """Every word of longtail's 20k-word core plus 5,000 of its hapax
+    words, drawn as the generator draws them."""
+    gen = _load_perfbench_gen()
+    core = 20000
+    rng = random.Random(1)
+    ids = list(range(core)) + [
+        core + rng.randrange(gen.HAPAX_SPACE) for _ in range(5000)
+    ]
+    wrong = [
+        w for w in map(gen.word, ids) if stem.__wrapped__(w) != naive_stem(w)
+    ]
+    assert wrong == []
+
+
+# The benchmark's syllables never hold a y and random letters rarely end
+# in "ational", so words are built to reach each rule: a random stem
+# with y runs and doubled letters, one suffix of some rule of steps 1-5,
+# and sometimes an inflection that steps 1a/1b strip first.
+RULE_SUFFIXES = sorted(
+    {"sses", "ies", "ss", "s", "eed", "ed", "ing", "y", "at", "bl", "iz",
+     "e", "ll"}
+    | {rule[0] for table in (_STEP2_RULES, _STEP3_RULES, _STEP4_RULES)
+       for bucket in table.values() for rule in bucket}
+)
+_LETTERS = st.sampled_from(string.ascii_lowercase)
+_STEMS = st.lists(
+    st.one_of(
+        _LETTERS,
+        _LETTERS.map(lambda ch: ch * 2),
+        st.integers(min_value=1, max_value=6).map(lambda n: "y" * n),
+    ),
+    max_size=6,
+).map("".join)
+RULE_WORDS = st.builds(
+    lambda stem_, suffix, inflection: stem_ + suffix + inflection,
+    _STEMS,
+    st.sampled_from(RULE_SUFFIXES),
+    st.sampled_from(["", "", "s", "ed", "ing", "y"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(RULE_WORDS)
+def test_rule_words_match_naive(word):
+    assert stem.__wrapped__(word) == naive_stem(word)
+
+
+def _dispatch_faults(rules) -> list[str]:
+    """Why an indexed step table could let a shorter suffix win."""
+    faults = []
+    for letter, bucket in rules.items():
+        for suffix, _, _ in bucket:
+            if suffix[-2:-1] != letter:
+                faults.append(f"{suffix!r} filed under {letter!r}")
+        lengths = [len(rule[0]) for rule in bucket]
+        if lengths != sorted(lengths, reverse=True):
+            faults.append(f"bucket {letter!r} is not longest-first")
+    return faults
+
+
+@pytest.mark.parametrize(
+    "rules,count",
+    [(_STEP2_RULES, 20), (_STEP3_RULES, 7), (_STEP4_RULES, 19)],
+    ids=["step2", "step3", "step4"],
+)
+def test_rules_are_filed_by_next_to_last_letter_longest_first(rules, count):
+    assert _dispatch_faults(rules) == []
+    assert sum(len(bucket) for bucket in rules.values()) == count
+
+
+def test_dispatch_check_catches_a_shorter_suffix_first():
+    ion = next(rule for rule in _STEP4_RULES["o"] if rule[0] == "ion")
+    ation = next(rule for rule in _STEP2_RULES["o"] if rule[0] == "ation")
+    mutant = {"o": (ion, ation)}
+    assert _dispatch_faults(mutant) == ["bucket 'o' is not longest-first"]
+    # and the order matters: "ion" would shadow "ation" on a real word
+    assert _apply_step("predication", mutant, 0) == "predicat"
+    assert _apply_step("predication", {"o": (ation, ion)}, 0) == "predicate"
