@@ -231,6 +231,8 @@ def cmd_rerank(args) -> int:
             )
         pipeline = Pipeline(stopwords=stopwords, query_terms=query.terms())
         rankings = [(engine_ranking(group), None)]
+        # every region ranks this group's docs, so each is vectorized once
+        news_vectors: dict = {}
         for region in args.regions:
             corpus_slice = slice_corpus(
                 buckets.get((region, day), ()), group, query, region, day, engine
@@ -240,6 +242,7 @@ def cmd_rerank(args) -> int:
                 pipeline,
                 sim_mode=args.sim,
                 include_snippet=args.include_snippet,
+                news_vectors=news_vectors,
             )
             rankings.append((rerank(group, votes), votes.by_id()))
         for ranking, votes_by_id in rankings:

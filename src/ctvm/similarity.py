@@ -40,6 +40,15 @@ def cosine(a: TermVector, b: TermVector, mode: str = MODE_COMMON_SET) -> float:
         raise ValueError(f"unknown similarity mode: {mode!r}")
     _validate(a, "a")
     _validate(b, "b")
+    return unchecked_cosine(a, b, mode)
+
+
+def unchecked_cosine(
+    a: TermVector, b: TermVector, mode: str = MODE_COMMON_SET
+) -> float:
+    """cosine's arithmetic without its checks, for a caller that already
+    knows both vectors hold positive int counts (to_vector's output) and
+    that mode is one of SIM_MODES; any other mode scores as common-set."""
     shared = a.keys() & b.keys()
     if not shared:
         return 0.0

@@ -13,8 +13,11 @@ from typing import Sequence
 
 from .corpus import CorpusSlice, NewsDoc
 from .errors import ContractViolation, EmptySliceError
-from .similarity import MODE_COMMON_SET, cosine
-from .textproc import Pipeline, to_vector
+# vote's per-pair call skips the public cosine's checks: its vectors come
+# from to_vector and vote checks the mode on entry. It keeps the name
+# cosine, which perfbench's tracer wraps to count scored pairs.
+from .similarity import MODE_COMMON_SET, SIM_MODES, unchecked_cosine as cosine
+from .textproc import Pipeline, TermVector, to_vector
 
 
 @dataclass(frozen=True)
@@ -56,28 +59,43 @@ def vote(
     pipeline: Pipeline,
     sim_mode: str = MODE_COMMON_SET,
     include_snippet: bool = False,
+    *,
+    news_vectors: dict[str, TermVector] | None = None,
 ) -> VoteVector:
     """Accumulate tweet votes for every news doc in the slice.
 
     Tweets are processed in slice order and each contributes the
     similarity between its term vector and the doc's, so totals are
     reproducible run to run.
+
+    news_vectors, when given, maps news id to that doc's vector; a doc
+    missing from it is vectorized and added. It is only valid for one
+    pipeline and one include_snippet, so callers share one dict among
+    the slices of one (query, engine, day), whose regions rank the same
+    docs.
     """
+    if sim_mode not in SIM_MODES:
+        raise ValueError(f"unknown similarity mode: {sim_mode!r}")
     if not corpus_slice.news:
         raise EmptySliceError(
             f"no news to rank for query {corpus_slice.query.id} "
             f"({corpus_slice.region}, {corpus_slice.day})"
         )
-    news_vectors = [
-        to_vector(news_text(doc, include_snippet), pipeline)
-        for doc in corpus_slice.news
-    ]
-    totals = [0.0] * len(news_vectors)
+    if news_vectors is None:
+        news_vectors = {}
+    doc_vectors = []
+    for doc in corpus_slice.news:
+        vector = news_vectors.get(doc.id)
+        if vector is None:
+            vector = to_vector(news_text(doc, include_snippet), pipeline)
+            news_vectors[doc.id] = vector
+        doc_vectors.append(vector)
+    totals = [0.0] * len(doc_vectors)
     for tweet in corpus_slice.tweets:
         tweet_vector = to_vector(tweet.text, pipeline)
         if not tweet_vector:
             continue
-        for j, news_vector in enumerate(news_vectors):
+        for j, news_vector in enumerate(doc_vectors):
             totals[j] += cosine(tweet_vector, news_vector, sim_mode)
     scores = tuple(
         (doc.id, total) for doc, total in zip(corpus_slice.news, totals)

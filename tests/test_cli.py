@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -357,6 +358,48 @@ class TestRerank:
             assert first["2011-12-12", "ctvm(CA)"] == "n5"
         if day in (None, "2011-12-13"):
             assert first["2011-12-13", "ctvm(CA)"] == "m4"
+
+    @pytest.mark.parametrize(
+        "snippet_flag, digest",
+        [
+            ([], "2cc1cf64ef8b938deab72d9377c551b3bc7c507ae59023e33d425f933661689b"),
+            (
+                ["--include-snippet"],
+                "98af49c12dd5dca0a6d8d841f26b2c263817f217b32665bfc504f26d54f7c450",
+            ),
+        ],
+    )
+    def test_each_group_vectorizes_its_news_once(
+        self, snippet_flag, digest, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        """The three regions rank the same five docs, so each doc's text
+        is vectorized once for all of them. The digests are of the bytes
+        written when every region vectorized the docs itself."""
+        tri = data_dir / "tri_region"
+        news = [json.loads(line) for line in read(tri / "news.jsonl").splitlines()]
+        snippets = ["falcon harbor deal", "", "meteor canyon talks",
+                    "copper shares", "zebra quartz zebra"]
+        for record, snippet in zip(news, snippets):
+            record["snippet"] = snippet
+        write_lines(tmp_path / "news.jsonl", [json.dumps(r) for r in news])
+        news_texts = {r["title"] for r in news} | {
+            f"{r['title']} {r['snippet']}" for r in news
+        }
+        texts = []
+        to_vector = ctvm.voting.to_vector
+        monkeypatch.setattr(
+            ctvm.voting,
+            "to_vector",
+            lambda text, pipeline: texts.append(text) or to_vector(text, pipeline),
+        )
+        code, out, _ = run(
+            capsys, "rerank", "--tweets", tri / "tweets.jsonl", "--news",
+            tmp_path / "news.jsonl", "--queries", tri / "queries.jsonl",
+            "--out", "-", *snippet_flag,
+        )
+        assert code == EXIT_OK
+        assert len([t for t in texts if t in news_texts]) == len(news)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_region_without_tweets_reproduces_engine_order(
         self, golden, capsys

@@ -5,9 +5,10 @@ from datetime import date, datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctvm.voting
 from ctvm.corpus import CorpusSlice, NewsDoc, Query, Tweet
 from ctvm.errors import ContractViolation, EmptySliceError
-from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE
+from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE, cosine
 from ctvm.textproc import Pipeline, to_vector
 from ctvm.voting import (
     PROVENANCE_ENGINE,
@@ -134,6 +135,26 @@ class TestVote:
         )
         assert bare.values() == (0.0,)
         assert rich.values() == (1.0,)
+
+    @pytest.mark.parametrize(
+        "tweets",
+        [WORKSHEET_TWEETS, (make_tweet("t1", "obama is the and of"),)],
+        ids=["scoring tweets", "tweets all vectorize empty"],
+    )
+    def test_unknown_sim_mode_raises_before_scoring(
+        self, tweets, obama_pipeline, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            ctvm.voting, "to_vector", lambda *args: calls.append(args) or {}
+        )
+        with pytest.raises(ValueError, match="unknown similarity mode"):
+            vote(
+                make_slice(tweets, WORKSHEET_NEWS),
+                obama_pipeline,
+                sim_mode="cosine",
+            )
+        assert calls == []
 
     def test_sim_mode_forwarded(self, obama_pipeline):
         news = (make_news("n1", 1, "Obama tax cut plan for winter"),)
@@ -332,6 +353,82 @@ class TestVoteProperties:
             )
         ]
         assert whole == pytest.approx(parts, abs=VOTE_TOL)
+
+
+# stopwords, the query term, inflections that stem alike, and repeats,
+# so vectors get counts above 1 and a tweet can vectorize empty
+VOCAB = st.sampled_from(
+    ["obama", "the", "and", "tax", "taxes", "taxing", "plan", "plans",
+     "speech", "jobs", "hawaii", "report", "congress", "vacation"]
+)
+RAW_TEXTS = st.lists(
+    VOCAB | st.text(alphabet="abcdeiorstuy", min_size=1, max_size=7),
+    min_size=1,
+    max_size=8,
+).map(" ".join)
+
+
+class TestVoteExactness:
+    @settings(max_examples=80)
+    @given(
+        tweet_texts=st.lists(RAW_TEXTS, max_size=6),
+        news_texts=st.lists(RAW_TEXTS, min_size=1, max_size=4),
+        mode=st.sampled_from((MODE_COMMON_SET, MODE_FULL_COSINE)),
+    )
+    def test_totals_are_the_public_cosines_summed_in_tweet_order(
+        self, tweet_texts, news_texts, mode, obama_pipeline
+    ):
+        """vote scores pairs without cosine's checks; its totals are still
+        exactly the public cosine's, added in tweet order, and the
+        per-pair callee at ctvm.voting.cosine sees every scored pair."""
+        news = tuple(
+            make_news(f"n{i}", i, text)
+            for i, text in enumerate(news_texts, start=1)
+        )
+        tweets = tuple(
+            make_tweet(f"t{i}", text, hour=i) for i, text in enumerate(tweet_texts)
+        )
+        news_vectors = [to_vector(doc.title, obama_pipeline) for doc in news]
+        tweet_vectors = [to_vector(text, obama_pipeline) for text in tweet_texts]
+        expected = [0.0] * len(news)
+        for tweet_vector in tweet_vectors:
+            for j, news_vector in enumerate(news_vectors):
+                expected[j] += cosine(tweet_vector, news_vector, mode)
+
+        pairs = []
+        kernel = ctvm.voting.cosine
+
+        def counting(a, b, sim_mode):
+            pairs.append(sim_mode)
+            return kernel(a, b, sim_mode)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ctvm.voting, "cosine", counting)
+            votes = vote(make_slice(tweets, news), obama_pipeline, sim_mode=mode)
+        assert list(votes.values()) == expected
+        assert len(pairs) == sum(1 for v in tweet_vectors if v) * len(news)
+        assert set(pairs) <= {mode}
+
+    def test_shared_news_vectors_are_filled_then_reused(
+        self, obama_pipeline, monkeypatch
+    ):
+        corpus_slice = make_slice(WORKSHEET_TWEETS, WORKSHEET_NEWS)
+        alone = vote(corpus_slice, obama_pipeline)
+        texts = []
+        monkeypatch.setattr(
+            ctvm.voting,
+            "to_vector",
+            lambda text, pipeline: texts.append(text) or to_vector(text, pipeline),
+        )
+        shared = {}
+        first = vote(corpus_slice, obama_pipeline, news_vectors=shared)
+        assert list(shared) == ["n-vac", "n-speech", "n-tax"]
+        assert shared["n-tax"] == to_vector("Obama tax plan stalls in congress",
+                                            obama_pipeline)
+        texts.clear()
+        second = vote(corpus_slice, obama_pipeline, news_vectors=shared)
+        assert texts == [t.text for t in WORKSHEET_TWEETS]
+        assert first == second == alone
 
 
 class TestRerankProperties:
