@@ -329,12 +329,13 @@ def cmd_eval(args) -> int:
     regions = args.regions if args.regions else list(lookup.regions())
     config = NdcgConfig(cutoffs=args.cutoffs, variant=args.ndcg)
 
+    keys, groups = zip(*grouped)
     out_rows: list[tuple[str, str, EvalRow]] = []
     for region in regions:
-        for (engine, _provenance), units in grouped:
-            rows, _scores = mean_ndcg(
-                units, lookup, region, config, require_complete=args.require_complete
-            )
+        results = mean_ndcg(
+            groups, lookup, region, config, require_complete=args.require_complete
+        )
+        for (engine, _provenance), (rows, _scores) in zip(keys, results):
             out_rows.extend((region, engine, row) for row in rows)
     if lookup.misses:
         _note(f"{lookup.misses} ranked docs had no judgment; scored 0")
@@ -347,27 +348,36 @@ def cmd_eval(args) -> int:
 
 
 def _read_eval_rows(path: str) -> list[tuple[str, str, EvalRow]]:
-    rows: list[tuple[str, str, EvalRow]] = []
     reader = csv.DictReader(read_input(path))
+    try:
+        return _eval_rows(reader, path)
+    except csv.Error as exc:
+        # DictReader's own line_num moves only after a row parses
+        line = reader.reader.line_num
+        raise InputDataError(f"{path}: bad CSV on line {line}: {exc}")
+
+
+def _eval_rows(reader: csv.DictReader, path: str) -> list[tuple[str, str, EvalRow]]:
     if reader.fieldnames is None or not set(EVAL_COLUMNS) <= set(reader.fieldnames):
         raise InputDataError(
             f"{path} does not look like eval output "
             f"(need columns {', '.join(EVAL_COLUMNS)})"
         )
+    rows: list[tuple[str, str, EvalRow]] = []
     for lineno, record in enumerate(reader, start=2):
         try:
-            rows.append(
-                (
-                    record["region"],
-                    record["engine"],
-                    EvalRow(
-                        provenance=record["provenance"],
-                        cutoff=int(record["cutoff"]),
-                        mean_ndcg=float(record["mean_ndcg"]),
-                        n_queries=int(record["n_queries"]),
-                    ),
-                )
+            row = EvalRow(
+                provenance=record["provenance"],
+                cutoff=int(record["cutoff"]),
+                mean_ndcg=float(record["mean_ndcg"]),
+                n_queries=int(record["n_queries"]),
             )
+            # eval writes no other rows, and a nan engine row stars nothing
+            if row.cutoff < 1 or row.n_queries < 1 or not 0 <= row.mean_ndcg <= 1:
+                raise ValueError(
+                    "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
+                )
+            rows.append((record["region"], record["engine"], row))
         except (KeyError, ValueError, TypeError) as exc:
             raise InputDataError(f"bad eval row on line {lineno}: {exc}")
     if not rows:

@@ -11,23 +11,17 @@ kept for comparability, not recommended.
 
 Relevance values are mean judge scores and may be fractional.
 
-mean_ndcg scores many rankings under one region's judgments: eval runs
-it once per (region, engine, provenance), and every provenance of a
-(query, engine, date) ranks the same docs. So what one lookup, region
-and NdcgConfig share is built once, on the first call, and kept for the
-lookup's lifetime: the region's gains per query, the gain of an
-unjudged doc, the discounts, and the ideal DCG per cutoff keyed by the
-sorted gains. Each ranking then costs one gain lookup per doc and one
-running-sum pass that yields DCG at every cutoff. That pass adds the
-same terms in the same order as dcg, one at a time; builtin sum() is
-not used, because from Python 3.12 it sums floats with compensation and
-would change the last bits, and with them the eval CSV.
+mean_ndcg scores all of one region's rankings in one call and builds
+what they share once, as locals: the region's gains, the discounts and
+an ideal-DCG memo keyed by the sorted gains. One running-sum pass per
+ranking then yields DCG at every cutoff, adding dcg's terms in dcg's
+order; builtin sum() compensates from Python 3.12 and would change the
+last bits, and with them the eval CSV.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import truediv
@@ -130,138 +124,104 @@ class EvalRow:
     better_than_engine: bool = False
 
 
-class _RegionView:
-    """What every ranking scored under one (lookup, region, config)
-    shares: the region's gains per query, an unjudged doc's gain, the
-    discounts, and the ideal DCG at each cutoff per sorted gains."""
-
-    def __init__(
-        self, lookup: RelevanceLookup, region: str, config: NdcgConfig
-    ) -> None:
-        self.gains = {
-            query_id: {
-                news_id: _gain(relevance, config)
-                for news_id, relevance in cells.items()
-            }
-            for query_id, cells in lookup.region_cells(region).items()
-        }
-        self.unjudged = _gain(0.0, config)
-        self.cutoffs = config.cutoffs
-        # discounts[i] divides the gain at position i + 1; the literal
-        # variant has none, and x / 1.0 == x exactly
-        self._log2 = config.variant != VARIANT_LITERAL
-        self._discounts: list[float] = []
-        # ranking length -> index of each cutoff's prefix
-        self._picks: dict[int, tuple[int, ...]] = {}
-        self.ideal: dict[tuple[float, ...], tuple[float, ...]] = {}
-
-    def cutoff_dcgs(self, gains: Sequence[float]) -> list[float]:
-        """dcg(relevances, k) for each cutoff k, where gains are the
-        relevances' gains: one running-sum pass over the same terms,
-        added in the same order, so every value is the same float."""
-        n = min(len(gains), self.cutoffs[-1])
-        picks = self._picks.get(n)
-        if picks is None:
-            picks = self._picks[n] = tuple(min(k, n) - 1 for k in self.cutoffs)
-            discounts = self._discounts
-            while len(discounts) < n:
-                position = len(discounts) + 1
-                discounts.append(math.log2(position + 1) if self._log2 else 1.0)
-        if not n:
-            return [0.0] * len(picks)
-        prefix = list(accumulate(map(truediv, gains[:n], self._discounts)))
-        return [prefix[i] for i in picks]
-
-
-# lookup -> (region, config) -> view; an entry goes with its lookup
-_VIEWS: weakref.WeakKeyDictionary[
-    RelevanceLookup, dict[tuple[str, NdcgConfig], _RegionView]
-] = weakref.WeakKeyDictionary()
-
-
-def _region_view(
-    lookup: RelevanceLookup, region: str, config: NdcgConfig
-) -> _RegionView:
-    views = _VIEWS.get(lookup)
-    if views is None:
-        views = _VIEWS[lookup] = {}
-    view = views.get((region, config))
-    if view is None:
-        view = views[(region, config)] = _RegionView(lookup, region, config)
-    return view
-
-
 def mean_ndcg(
-    units: Sequence[tuple[str, Ranking]],
+    groups: Sequence[Sequence[tuple[str, Ranking]]],
     lookup: RelevanceLookup,
     region: str,
     config: NdcgConfig = DEFAULT_CONFIG,
     *,
     require_complete: bool = False,
-) -> tuple[list[EvalRow], list[QueryScore]]:
-    """Mean NDCG per cutoff for one provenance's rankings.
+) -> list[tuple[list[EvalRow], list[QueryScore]]]:
+    """Mean NDCG per cutoff for each group of rankings under one
+    region's judgments: one (rows, scores) pair per group, in order.
 
-    units pair each query instance with its ranking; all must share one
+    A group pairs query instances with their rankings, all of one
     provenance. With require_complete, a query whose ranking contains
     any unjudged doc (for this region) is left out entirely; otherwise
-    unjudged docs score 0 and each one adds to lookup.misses. Zero
-    evaluable queries is an error, not a silent zero. math.fsum keeps
-    the mean independent of unit order. Every value equals
-    ndcg(ranking_relevances(...), k, config) exactly.
+    unjudged docs score 0 and each one adds to lookup.misses, group by
+    group. A group with zero evaluable queries is an error, not a silent
+    zero. math.fsum keeps each mean independent of unit order. Every
+    value equals ndcg(ranking_relevances(...), k, config) exactly.
     """
-    if not units:
-        raise EvalError(f"no rankings to evaluate for region {region}")
-    provenances = {ranking.provenance for _, ranking in units}
-    if len(provenances) != 1:
-        raise ContractViolation(
-            f"mean_ndcg expects one provenance, got {sorted(provenances)}"
-        )
-    provenance = provenances.pop()
-    view = _region_view(lookup, region, config)
-    region_gains, ideal_memo = view.gains, view.ideal
+    cutoffs = config.cutoffs
+    region_gains = {
+        query_id: {
+            news_id: _gain(relevance, config) for news_id, relevance in cells.items()
+        }
+        for query_id, cells in lookup.region_cells(region).items()
+    }
+    unjudged_gain = _gain(0.0, config)
+    longest = max((len(r.entries) for units in groups for _, r in units), default=0)
+    # discounts[i] divides the gain at position i + 1; the literal
+    # variant has none, and x / 1.0 == x exactly
+    discounts = [
+        1.0 if config.variant == VARIANT_LITERAL else math.log2(position + 1)
+        for position in range(1, min(longest, cutoffs[-1]) + 1)
+    ]
+    # picks[n]: each cutoff's index in the prefix sums of n gains
+    picks = [tuple(min(k, n) for k in cutoffs) for n in range(len(discounts) + 1)]
+
+    def cutoff_dcgs(gains: Sequence[float]) -> list[float]:
+        """dcg(relevances, k) for each cutoff k, where gains are the
+        relevances' gains: dcg's terms added to 0.0 in dcg's order."""
+        prefix = list(accumulate(map(truediv, gains, discounts), initial=0.0))
+        return [prefix[i] for i in picks[len(prefix) - 1]]
+
+    ideal_memo: dict[tuple[float, ...], list[float]] = {}
     no_cells: dict[str, float] = {}
-    query_ids: list[str] = []
-    per_unit: list[list[float]] = []
-    misses = 0
-    for query_id, ranking in units:
-        gains = list(map(region_gains.get(query_id, no_cells).get, ranking.ids()))
-        unjudged = gains.count(None)
-        if unjudged:
-            if require_complete:
-                continue
-            misses += unjudged
-            gains = [view.unjudged if gain is None else gain for gain in gains]
-        # gain rises with relevance, so these are ndcg's ideal ordering
-        ideal_key = tuple(sorted(gains, reverse=True))
-        ideals = ideal_memo.get(ideal_key)
-        if ideals is None:
-            ideals = ideal_memo[ideal_key] = tuple(view.cutoff_dcgs(ideal_key))
-        query_ids.append(query_id)
-        per_unit.append(
-            [
-                0.0 if ideal == 0.0 else min(1.0, actual / ideal)
-                for actual, ideal in zip(view.cutoff_dcgs(gains), ideals)
-            ]
-        )
-    lookup.misses += misses
-    if not per_unit:
-        raise EvalError(
-            f"no evaluable queries for {provenance} in region {region} "
-            f"(require_complete dropped all {len(units)})"
-        )
-    rows: list[EvalRow] = []
-    scores: list[QueryScore] = []
-    for k, values in zip(config.cutoffs, zip(*per_unit)):
-        scores.extend(map(QueryScore, query_ids, repeat(k), values))
-        rows.append(
-            EvalRow(
-                provenance=provenance,
-                cutoff=k,
-                mean_ndcg=math.fsum(values) / len(values),
-                n_queries=len(values),
+    results = []
+    for units in groups:
+        if not units:
+            raise EvalError(f"no rankings to evaluate for region {region}")
+        provenances = {ranking.provenance for _, ranking in units}
+        if len(provenances) != 1:
+            raise ContractViolation(
+                f"mean_ndcg expects one provenance, got {sorted(provenances)}"
             )
-        )
-    return rows, scores
+        provenance = provenances.pop()
+        query_ids: list[str] = []
+        per_unit: list[list[float]] = []
+        misses = 0
+        for query_id, ranking in units:
+            gains = list(map(region_gains.get(query_id, no_cells).get, ranking.ids()))
+            unjudged = gains.count(None)
+            if unjudged:
+                if require_complete:
+                    continue
+                misses += unjudged
+                gains = [unjudged_gain if gain is None else gain for gain in gains]
+            # gain rises with relevance, so these are ndcg's ideal ordering
+            ideal_key = tuple(sorted(gains, reverse=True))
+            ideals = ideal_memo.get(ideal_key)
+            if ideals is None:
+                ideals = ideal_memo[ideal_key] = cutoff_dcgs(ideal_key)
+            query_ids.append(query_id)
+            per_unit.append(
+                [
+                    0.0 if ideal == 0.0 else min(1.0, actual / ideal)
+                    for actual, ideal in zip(cutoff_dcgs(gains), ideals)
+                ]
+            )
+        lookup.misses += misses
+        if not per_unit:
+            raise EvalError(
+                f"no evaluable queries for {provenance} in region {region} "
+                f"(require_complete dropped all {len(units)})"
+            )
+        rows: list[EvalRow] = []
+        scores: list[QueryScore] = []
+        for k, values in zip(cutoffs, zip(*per_unit)):
+            scores.extend(map(QueryScore, query_ids, repeat(k), values))
+            rows.append(
+                EvalRow(
+                    provenance=provenance,
+                    cutoff=k,
+                    mean_ndcg=math.fsum(values) / len(values),
+                    n_queries=len(values),
+                )
+            )
+        results.append((rows, scores))
+    return results
 
 
 def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:

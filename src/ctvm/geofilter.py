@@ -77,16 +77,21 @@ class RegionTable:
 
 def load_region_table(path: str | None = None) -> RegionTable:
     """Load a code,full_name CSV; defaults to the bundled US states."""
-    lines = [
-        line
-        for line in read_input(path, "us_states.csv")
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(read_input(path, "us_states.csv"), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
+    reader = csv.reader(line for _, line in numbered)
     entries = []
-    for row in csv.reader(lines):
-        if len(row) != 2:
-            raise InputDataError(f"region table row needs code,full_name: {row!r}")
-        entries.append((row[0].strip(), row[1].strip()))
+    try:
+        for row in reader:
+            if len(row) != 2:
+                raise InputDataError(f"region table row needs code,full_name: {row!r}")
+            entries.append((row[0].strip(), row[1].strip()))
+    except csv.Error as exc:
+        lineno = numbered[reader.line_num - 1][0]
+        raise InputDataError(f"{path}: bad CSV on line {lineno}: {exc}") from exc
     if not entries:
         raise InputDataError("region table is empty")
     try:

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -982,6 +983,32 @@ class TestReport:
         assert code == EXIT_INPUT
         assert "columns" in err
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("mean_ndcg", "nan"),
+            ("mean_ndcg", "inf"),
+            ("mean_ndcg", "-0.5"),
+            ("mean_ndcg", "1.5"),
+            ("cutoff", "0"),
+            ("n_queries", "0"),
+        ],
+    )
+    def test_row_eval_never_writes_exits_one(
+        self, column, value, golden, tmp_path, capsys
+    ):
+        lines = read(golden / "expected_rows.csv").splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index(column)] = value
+        rows = tmp_path / "rows.csv"
+        write_lines(rows, [*lines[:3], ",".join(cells), *lines[4:]])
+        code, out, err = run(capsys, "report", "--rows", rows, "--out", "-")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: bad eval row on line 4:")
+        assert err.count("\n") == 1
+
 
 # Input flags per subcommand and the golden file each reads
 # (None: the flag has a bundled default).
@@ -1091,6 +1118,70 @@ def test_non_utf8_input_exits_one(command, flag, golden, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# csv's default field size limit is 131,072 characters
+BIG_FIELD = "x" * 131_073
+
+
+# the bundled file an input flag stands for when it is not given
+BUNDLED = {"--region-table": "us_states.csv", "--stopwords": "stopwords_smart.txt"}
+
+
+def bundled(name: str) -> str:
+    return resources.files("ctvm.data").joinpath(name).read_text(encoding="utf-8")
+
+
+def input_argv(command, flag, path, golden, out):
+    argv = [command, "--out", out, flag, path]
+    for name, filename in GOLDEN_ARGS[command].items():
+        if name != flag and filename is not None:
+            argv += [name, golden / filename]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, flag, lineno",
+    [
+        ("ingest", "--region-table", 4),
+        ("rerank", "--region-table", 4),
+        ("report", "--rows", 1),
+        ("report", "--rows", 3),
+    ],
+)
+def test_oversize_csv_field_exits_one(command, flag, lineno, golden, tmp_path, capsys):
+    if flag == "--rows":
+        lines = read(golden / "expected_rows.csv").splitlines()
+    else:  # the comment and the blank line are line 1 and 3 of the file
+        lines = ["# code,full_name", "CA,California", "", "NY,New York"]
+    lines[lineno - 1] += f',"{BIG_FIELD}"'
+    path = tmp_path / "input.csv"
+    write_lines(path, lines)
+    argv = input_argv(command, flag, path, golden, tmp_path / "out")
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert err == (
+        f"error: {path}: bad CSV on line {lineno}: "
+        "field larger than field limit (131072)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("ingest", "--region-table"), ("report", "--rows")]
+)
+def test_nul_byte_in_csv_exits_cleanly(command, flag, golden, tmp_path, capsys):
+    """csv rejects NUL before Python 3.11 and accepts it from 3.11 on;
+    either way the run ends with an exit code, not a traceback."""
+    if flag == "--rows":
+        text = read(golden / "expected_rows.csv")
+    else:
+        text = bundled("us_states.csv")
+    path = tmp_path / "input.csv"
+    path.write_text(text.replace("a", "a\0", 1), encoding="utf-8")
+    argv = input_argv(command, flag, path, golden, tmp_path / "out")
+    code, _, err = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_INPUT)
+    assert code == EXIT_OK or err.startswith("error:") and err.count("\n") == 1
+
+
 # st.text() never draws a lone surrogate; the "Cs" category does. A
 # string is also drawn on its own, because st.recursive mostly draws
 # containers.
@@ -1133,6 +1224,43 @@ def test_any_field_value_exits_cleanly(command, flag, golden, tmp_path, capsys):
         record[field] = data.draw(JSON_VALUES, label="value")
         write_lines(mutated, [*lines[:index], json.dumps(record), *lines[index + 1 :]])
         assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_INPUT)
+
+    check()
+
+
+# a drawn line, as UTF-8 text (lone surrogates kept as their raw bytes)
+# or as arbitrary bytes
+LINES = STRINGS.map(lambda text: text.encode("utf-8", "surrogatepass")) | st.binary()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in GOLDEN_ARGS.items() for flag in flags],
+)
+def test_any_line_exits_cleanly(command, flag, golden, tmp_path, capsys):
+    """Any line put in place of, or among, the lines of any input ends
+    in exit 0, 1 or 2, never in an exception; a run that fails leaves
+    an existing --out as it was."""
+    name = GOLDEN_ARGS[command][flag]
+    text = bundled(BUNDLED[flag]) if name is None else read(golden / name)
+    lines = text.encode("utf-8").splitlines(keepends=True)
+    mutated = tmp_path / "mutated"
+    out = tmp_path / "out"
+    argv = input_argv(command, flag, mutated, golden, out)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def check(data):
+        index = data.draw(st.integers(0, len(lines)), label="index")
+        line = data.draw(LINES, label="line")
+        replaced = data.draw(st.integers(0, 1), label="replaced")
+        kept = [*lines[:index], line + b"\n", *lines[index + replaced :]]
+        mutated.write_bytes(b"".join(kept))
+        out.write_bytes(b"earlier output\n")
+        code = run(capsys, *argv)[0]
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONTRACT)
+        if code != EXIT_OK:
+            assert out.read_bytes() == b"earlier output\n"
 
     check()
 

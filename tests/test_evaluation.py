@@ -200,8 +200,8 @@ class TestMeanNdcg:
     def test_single_query(self):
         lookup = lookup_for(self.CELLS)
         units = [("q1", ranked(["a", "b", "c"], "engine"))]
-        rows, scores = mean_ndcg(
-            units, lookup, "CA", NdcgConfig(cutoffs=(3,))
+        [(rows, scores)] = mean_ndcg(
+            [units], lookup, "CA", NdcgConfig(cutoffs=(3,))
         )
         assert rows == [
             EvalRow(
@@ -216,8 +216,8 @@ class TestMeanNdcg:
             ("q1", ranked(["a", "b", "c"], "engine")),
             ("q2", ranked(["d", "e"], "engine")),
         ]
-        rows, scores = mean_ndcg(
-            units, lookup, "CA", NdcgConfig(cutoffs=(2, 3))
+        [(rows, scores)] = mean_ndcg(
+            [units], lookup, "CA", NdcgConfig(cutoffs=(2, 3))
         )
         q2 = ndcg([2, 3], 2)
         expected_mean = naive_mean([1.0, q2])
@@ -231,7 +231,7 @@ class TestMeanNdcg:
     def test_unjudged_docs_score_zero_by_default(self):
         lookup = lookup_for(self.CELLS)
         units = [("q1", ranked(["a", "zz"], "engine"))]
-        rows, _ = mean_ndcg(units, lookup, "CA", NdcgConfig(cutoffs=(2,)))
+        [(rows, _)] = mean_ndcg([units], lookup, "CA", NdcgConfig(cutoffs=(2,)))
         assert rows[0].mean_ndcg == 1.0  # [3, 0] is already ideal
         assert lookup.misses == 1
 
@@ -241,8 +241,8 @@ class TestMeanNdcg:
             ("q1", ranked(["a", "b"], "engine")),
             ("q2", ranked(["d", "zz"], "engine")),
         ]
-        rows, scores = mean_ndcg(
-            units,
+        [(rows, scores)] = mean_ndcg(
+            [units],
             lookup,
             "CA",
             NdcgConfig(cutoffs=(2,)),
@@ -256,7 +256,7 @@ class TestMeanNdcg:
         units = [("q1", ranked(["a", "zz"], "engine"))]
         with pytest.raises(EvalError, match="require_complete"):
             mean_ndcg(
-                units,
+                [units],
                 lookup,
                 "CA",
                 NdcgConfig(cutoffs=(2,)),
@@ -265,7 +265,7 @@ class TestMeanNdcg:
 
     def test_no_units_rejected(self):
         with pytest.raises(EvalError, match="no rankings"):
-            mean_ndcg([], lookup_for(self.CELLS), "CA")
+            mean_ndcg([[]], lookup_for(self.CELLS), "CA")
 
     def test_mixed_provenance_rejected(self):
         lookup = lookup_for(self.CELLS)
@@ -274,7 +274,7 @@ class TestMeanNdcg:
             ("q2", ranked(["d"], "ctvm(CA)")),
         ]
         with pytest.raises(ContractViolation, match="provenance"):
-            mean_ndcg(units, lookup, "CA")
+            mean_ndcg([units], lookup, "CA")
 
     @given(st.permutations(range(6)))
     def test_unit_order_cannot_move_the_mean(self, order):
@@ -286,11 +286,11 @@ class TestMeanNdcg:
             ("q%d" % i, ranked(["n%d" % i, "x%d" % i], "engine"))
             for i in range(6)
         ]
-        baseline_rows, _ = mean_ndcg(
-            units, lookup, "CA", NdcgConfig(cutoffs=(2,))
+        [(baseline_rows, _)] = mean_ndcg(
+            [units], lookup, "CA", NdcgConfig(cutoffs=(2,))
         )
         shuffled = [units[i] for i in order]
-        rows, _ = mean_ndcg(shuffled, lookup, "CA", NdcgConfig(cutoffs=(2,)))
+        [(rows, _)] = mean_ndcg([shuffled], lookup, "CA", NdcgConfig(cutoffs=(2,)))
         # fsum makes this exact equality, not approx
         assert rows[0].mean_ndcg == baseline_rows[0].mean_ndcg
 
@@ -357,8 +357,8 @@ def reference_scores(units, cells, region, config, require_complete):
 
 
 class TestMeanNdcgExactness:
-    """mean_ndcg shares gains, discounts and ideal DCGs across calls;
-    every score must still be the very float ndcg gives."""
+    """mean_ndcg shares gains, discounts and ideal DCGs across one
+    call's groups; every score must still be the very float ndcg gives."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -377,10 +377,10 @@ class TestMeanNdcgExactness:
         lookup = lookup_of(cells)
         if not expected:
             with pytest.raises(EvalError, match="require_complete"):
-                mean_ndcg(units, lookup, region, config, require_complete=True)
+                mean_ndcg([units], lookup, region, config, require_complete=True)
             return
-        rows, scores = mean_ndcg(
-            units, lookup, region, config, require_complete=require_complete
+        [(rows, scores)] = mean_ndcg(
+            [units], lookup, region, config, require_complete=require_complete
         )
         assert scores == expected
         assert lookup.misses == expected_misses
@@ -394,8 +394,71 @@ class TestMeanNdcgExactness:
     def test_variants_do_not_share_state(self, cells, units, region):
         shared = lookup_of(cells)
         for config in (NdcgConfig(), LITERAL, NdcgConfig()):
-            fresh = mean_ndcg(units, lookup_of(cells), region, config)
-            assert mean_ndcg(units, shared, region, config) == fresh
+            fresh = mean_ndcg([units], lookup_of(cells), region, config)
+            assert mean_ndcg([units], shared, region, config) == fresh
+
+
+class TestMeanNdcgGroups:
+    """One call scores many groups under one region; each group's
+    result, misses and errors are those of the group scored alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        CELLS,
+        st.lists(UNITS, min_size=1, max_size=4),
+        st.sampled_from(("CA", "NY", "TX")),
+        ANY_CONFIG,
+        st.booleans(),
+    )
+    def test_one_call_equals_each_group_alone(
+        self, cells, groups, region, config, require_complete
+    ):
+        alone, misses, error = [], 0, None
+        for units in groups:
+            lookup = lookup_of(cells)
+            try:
+                alone += mean_ndcg(
+                    [units], lookup, region, config, require_complete=require_complete
+                )
+            except EvalError as exc:
+                error = str(exc)
+                break
+            misses += lookup.misses
+        lookup = lookup_of(cells)
+        if error is None:
+            results = mean_ndcg(
+                groups, lookup, region, config, require_complete=require_complete
+            )
+            assert results == alone
+        else:
+            with pytest.raises(EvalError) as excinfo:
+                mean_ndcg(
+                    groups, lookup, region, config, require_complete=require_complete
+                )
+            assert str(excinfo.value) == error
+        assert lookup.misses == misses
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([], EvalError),
+            (
+                [("q1", ranked(["a"], "engine")), ("q2", ranked(["d"], "x"))],
+                ContractViolation,
+            ),
+        ],
+        ids=["empty", "mixed"],
+    )
+    def test_bad_group_in_the_middle_raises_as_alone(self, bad, error):
+        cells = {("q1", "a", "CA"): 3, ("q2", "d", "CA"): 2}
+        with pytest.raises(error) as alone:
+            mean_ndcg([bad], lookup_of(cells), "CA")
+        good = [("q1", ranked(["a", "zz"], "engine"))]
+        lookup = lookup_of(cells)
+        with pytest.raises(error) as excinfo:
+            mean_ndcg([good, bad, good], lookup, "CA")
+        assert str(excinfo.value) == str(alone.value)
+        assert lookup.misses == 1  # the first group's, added before the raise
 
 
 def row(provenance, cutoff, value, marked=False):

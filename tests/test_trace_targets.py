@@ -28,3 +28,43 @@ def test_every_trace_target_exists():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_pipeline_counts_every_layer(data_dir, tmp_path, capsys):
+    """The tri-region fixture's four stages, run under the tracer: every
+    observer runs, and only the targets eval no longer calls read zero."""
+    from ctvm.cli import main
+
+    tri = data_dir / "tri_region"
+    enriched, rankings, rows, report = (
+        tmp_path / name
+        for name in ("enriched.jsonl", "rankings.jsonl", "rows.csv", "report.txt")
+    )
+    stages = [
+        ["ingest", "--tweets", tri / "tweets.jsonl", "--out", enriched],
+        [
+            "rerank", "--tweets", enriched, "--news", tri / "news.jsonl",
+            "--queries", tri / "queries.jsonl", "--regions", "CA,NY,TX",
+            "--out", rankings,
+        ],
+        [
+            "eval", "--rankings", rankings,
+            "--judgments", tri / "judgments.jsonl", "--out", rows,
+        ],
+        ["report", "--rows", rows, "--out", report],
+    ]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for argv in stages:
+            assert main([str(arg) for arg in argv]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    tracer.dump(tmp_path / "spans")
+    metrics, missing = tracing.summarize(tmp_path / "spans")
+    assert missing == []
+    idle = {name for name in tracer.names if metrics[f"{name}.calls"] == 0}
+    assert idle == {"evaluation.ndcg", "judgments.lookup"}
+    assert metrics["evaluation.mean_ndcg.calls"] == 3
