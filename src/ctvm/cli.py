@@ -246,7 +246,7 @@ def cmd_rerank(args) -> int:
             )
             rankings.append((rerank(group, votes), votes.by_id()))
         for ranking, votes_by_id in rankings:
-            for news_id, position in ranking.entries:
+            for position, news_id in enumerate(ranking.ids, start=1):
                 record = {
                     "query_id": query_id,
                     "engine": engine,
@@ -285,9 +285,10 @@ def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, Ran
     for (query_id, engine, day, provenance), entries in sorted(rows.items()):
         entries.sort()
         try:
-            ranking = Ranking(
-                tuple((news_id, pos) for pos, news_id in entries), provenance
-            )
+            for position, (pos, _) in enumerate(entries, start=1):
+                if pos != position:
+                    raise ValueError(f"positions must run 1..n; saw {pos} at {position}")
+            ranking = Ranking(tuple(news_id for _, news_id in entries), provenance)
         except ValueError as exc:
             raise InputDataError(
                 f"rankings for {query_id}/{engine}/{day}/{provenance}: {exc}"
@@ -366,6 +367,8 @@ def _eval_rows(reader: csv.DictReader, path: str) -> list[tuple[str, str, EvalRo
     rows: list[tuple[str, str, EvalRow]] = []
     for lineno, record in enumerate(reader, start=2):
         try:
+            if None in map(record.get, EVAL_COLUMNS):
+                raise ValueError("row has fewer fields than the header")
             row = EvalRow(
                 provenance=record["provenance"],
                 cutoff=int(record["cutoff"]),
@@ -393,7 +396,10 @@ def cmd_report(args) -> int:
     tables: list[str] = []
     marked_csv: list[tuple[str, str, EvalRow]] = []
     for (region, engine), group_rows in sorted(groups.items()):
-        marked = compare(group_rows)
+        try:
+            marked = compare(group_rows)
+        except ContractViolation as exc:  # the rows came from the file
+            raise InputDataError(f"{args.rows}: {region}/{engine}: {exc}")
         heading = f"[region={region} engine={engine}]"
         tables.append(format_table(marked, heading))
         marked_csv.extend((region, engine, row) for row in marked)

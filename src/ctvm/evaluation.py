@@ -103,7 +103,7 @@ def ranking_relevances(
     region: str,
 ) -> list[float]:
     """Relevance of each ranked doc under one region's judgments."""
-    return [lookup.get(query_id, news_id, region) for news_id in ranking.ids()]
+    return [lookup.get(query_id, news_id, region) for news_id in ranking.ids]
 
 
 class QueryScore(NamedTuple):
@@ -151,7 +151,7 @@ def mean_ndcg(
         for query_id, cells in lookup.region_cells(region).items()
     }
     unjudged_gain = _gain(0.0, config)
-    longest = max((len(r.entries) for units in groups for _, r in units), default=0)
+    longest = max((len(r.ids) for units in groups for _, r in units), default=0)
     # discounts[i] divides the gain at position i + 1; the literal
     # variant has none, and x / 1.0 == x exactly
     discounts = [
@@ -183,7 +183,7 @@ def mean_ndcg(
         per_unit: list[list[float]] = []
         misses = 0
         for query_id, ranking in units:
-            gains = list(map(region_gains.get(query_id, no_cells).get, ranking.ids()))
+            gains = list(map(region_gains.get(query_id, no_cells).get, ranking.ids))
             unjudged = gains.count(None)
             if unjudged:
                 if require_complete:
@@ -226,22 +226,24 @@ def mean_ndcg(
 
 def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:
     """Mark every non-engine row that strictly beats the engine row at
-    the same cutoff. Ties and losses stay unmarked."""
+    the same cutoff. Ties and losses stay unmarked. Each (provenance,
+    cutoff) may have one row, and every other row needs an engine row at
+    its cutoff."""
     rows = list(rows)
-    engine_by_cutoff: dict[int, EvalRow] = {}
+    cells: dict[tuple[str, int], EvalRow] = {}
     for row in rows:
-        if row.provenance == PROVENANCE_ENGINE:
-            if row.cutoff in engine_by_cutoff:
-                raise ContractViolation(
-                    f"two engine rows at cutoff {row.cutoff}"
-                )
-            engine_by_cutoff[row.cutoff] = row
+        cell = (row.provenance, row.cutoff)
+        if cell in cells:
+            raise ContractViolation(
+                f"two {row.provenance} rows at cutoff {row.cutoff}"
+            )
+        cells[cell] = row
     marked: list[EvalRow] = []
     for row in rows:
         if row.provenance == PROVENANCE_ENGINE:
             better = False
         else:
-            baseline = engine_by_cutoff.get(row.cutoff)
+            baseline = cells.get((PROVENANCE_ENGINE, row.cutoff))
             if baseline is None:
                 raise ContractViolation(
                     f"no engine row at cutoff {row.cutoff} to compare "
@@ -258,7 +260,7 @@ def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:
 
 def format_table(rows: Sequence[EvalRow], heading: str = "") -> str:
     """Fixed-width table, one provenance per line, starred where a row
-    beat the engine. Engine first, then input order."""
+    beat the engine. Engine first, then the other provenances by name."""
     if not rows:
         raise ValueError("nothing to format")
     cutoffs = sorted({row.cutoff for row in rows})

@@ -58,21 +58,18 @@ class Pipeline:
 
     stopwords: frozenset[str]
     query_terms: frozenset[str] = frozenset()
-    _blocked_stems: frozenset[str] = field(init=False, repr=False)
+    # tokens dropped before stemming, and stems dropped after it
+    _drop_tokens: frozenset[str] = field(init=False, repr=False)
+    _drop_stems: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for word in self.stopwords | self.query_terms:
+        drop_tokens = self.stopwords | self.query_terms
+        for word in drop_tokens:
             if word != word.lower():
                 raise ValueError(f"pipeline words must be lowercase: {word!r}")
-        blocked = {stem(t) for t in self.query_terms}
-        blocked.update(self.query_terms)
-        object.__setattr__(self, "_blocked_stems", frozenset(blocked))
-
-    def drops_before_stem(self, token: str) -> bool:
-        return token in self.stopwords or token in self.query_terms
-
-    def drops_after_stem(self, stemmed: str) -> bool:
-        return stemmed in self.stopwords or stemmed in self._blocked_stems
+        drop_stems = drop_tokens | {stem(t) for t in self.query_terms}
+        object.__setattr__(self, "_drop_tokens", drop_tokens)
+        object.__setattr__(self, "_drop_stems", drop_stems)
 
 
 def to_vector(text: str, pipeline: Pipeline) -> TermVector:
@@ -82,13 +79,14 @@ def to_vector(text: str, pipeline: Pipeline) -> TermVector:
     ("news" stems to "new", which is a stopword), keeping the output
     free of both regardless of inflection.
     """
+    drop_tokens, drop_stems = pipeline._drop_tokens, pipeline._drop_stems
     counts: TermVector = {}
     for token in tokenize(text):
-        if pipeline.drops_before_stem(token):
+        if token in drop_tokens:
             continue
         stemmed = stem(token)
         # bare "s" stems to "" under the strict published rules
-        if not stemmed or pipeline.drops_after_stem(stemmed):
+        if not stemmed or stemmed in drop_stems:
             continue
         counts[stemmed] = counts.get(stemmed, 0) + 1
     return counts

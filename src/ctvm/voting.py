@@ -105,31 +105,22 @@ def vote(
 
 @dataclass(frozen=True)
 class Ranking:
-    """Ordered (news_id, position) pairs with a provenance tag."""
+    """News ids in ranked order, best first, with a provenance tag."""
 
-    entries: tuple[tuple[str, int], ...]
+    ids: tuple[str, ...]
     provenance: str
 
     def __post_init__(self) -> None:
         if not self.provenance:
             raise ValueError("ranking needs a provenance tag")
         seen: set[str] = set()
-        for position, (news_id, pos) in enumerate(self.entries, start=1):
-            if pos != position:
-                raise ValueError(
-                    f"positions must run 1..n; saw {pos} at {position}"
-                )
+        for news_id in self.ids:
             if news_id in seen:
                 raise ValueError(f"duplicate news id in ranking: {news_id}")
             seen.add(news_id)
-        # built once: eval asks for the ids once per region
-        object.__setattr__(self, "_ids", tuple(news_id for news_id, _ in self.entries))
-
-    def ids(self) -> tuple[str, ...]:
-        return self._ids
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 PROVENANCE_ENGINE = "engine"
@@ -141,8 +132,7 @@ def provenance_for_region(region: str | None) -> str:
 
 def engine_ranking(news: Sequence[NewsDoc]) -> Ranking:
     ordered = sorted(news, key=lambda d: d.original_rank)
-    entries = tuple((doc.id, i) for i, doc in enumerate(ordered, start=1))
-    return Ranking(entries, PROVENANCE_ENGINE)
+    return Ranking(tuple(doc.id for doc in ordered), PROVENANCE_ENGINE)
 
 
 def rerank(news: Sequence[NewsDoc], votes: VoteVector) -> Ranking:
@@ -156,6 +146,6 @@ def rerank(news: Sequence[NewsDoc], votes: VoteVector) -> Ranking:
         if doc.id not in by_id:
             raise ContractViolation(f"no vote for news {doc.id}")
     ordered = sorted(news, key=lambda d: (-by_id[d.id], d.original_rank))
-    entries = tuple((doc.id, i) for i, doc in enumerate(ordered, start=1))
-    return Ranking(entries, provenance_for_region(votes.region))
+    ids = tuple(doc.id for doc in ordered)
+    return Ranking(ids, provenance_for_region(votes.region))
 

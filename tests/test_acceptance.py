@@ -179,7 +179,7 @@ def test_04_rerank_matches_sort_reference_exactly():
             [doc.original_rank for doc in news],
             values,
         )
-        assert list(rerank(news, votes).ids()) == expected
+        assert list(rerank(news, votes).ids) == expected
     report("PASS 4: 1000 tie-heavy rerank cases matched the reference exactly")
 
 

@@ -694,22 +694,22 @@ class TestEval:
         assert code == EXIT_INPUT
         assert "line 1" in err
 
-    def test_duplicate_position_exits_one(self, golden, tmp_path, capsys):
+    def eval_ranking(self, rows, golden, tmp_path, capsys):
+        """Run eval on one obama/google/2011-12-12 engine ranking whose
+        rows hold the given (position, news id) pairs."""
         rankings = tmp_path / "rankings.jsonl"
         row = {
             "query_id": "obama",
             "engine": "google",
             "date": "2011-12-12",
             "provenance": "engine",
-            "position": 1,
-            "news_id": "n-vac",
             "vote": None,
         }
         write_lines(
             rankings,
-            [json.dumps(row), json.dumps({**row, "news_id": "n-tax"})],
+            [json.dumps({**row, "position": p, "news_id": n}) for p, n in rows],
         )
-        code, _, err = run(
+        return run(
             capsys,
             "eval",
             "--rankings",
@@ -719,8 +719,33 @@ class TestEval:
             "--out",
             "-",
         )
+
+    def test_duplicate_position_exits_one(self, golden, tmp_path, capsys):
+        rows = [(1, "n-vac"), (1, "n-tax")]
+        code, out, err = self.eval_ranking(rows, golden, tmp_path, capsys)
         assert code == EXIT_INPUT
-        assert "positions" in err
+        assert out == ""
+        assert err == (
+            "error: rankings for obama/google/2011-12-12/engine: "
+            "positions must run 1..n; saw 1 at 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1, "n-vac"), (3, "n-tax")], "positions must run 1..n; saw 3 at 2"),
+            ([(2, "n-vac"), (3, "n-tax")], "positions must run 1..n; saw 2 at 1"),
+            ([(1, "n-vac"), (2, "n-vac")], "duplicate news id in ranking: n-vac"),
+        ],
+        ids=["gap", "late-start", "repeated-id"],
+    )
+    def test_bad_ranking_exits_one(self, rows, message, golden, tmp_path, capsys):
+        code, out, err = self.eval_ranking(rows, golden, tmp_path, capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            f"error: rankings for obama/google/2011-12-12/engine: {message}\n"
+        )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -967,14 +992,50 @@ class TestReport:
         assert out.startswith("[region=CA engine=google]")
         assert "1.0000*" in out
 
-    def test_missing_engine_rows_exit_two(self, golden, tmp_path, capsys):
+    def test_missing_engine_rows_exit_one(self, golden, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
         lines = read(golden / "expected_rows.csv").splitlines()
         kept = [lines[0]] + [l for l in lines[1:] if ",engine," not in l]
         write_lines(rows, kept)
         code, _, err = run(capsys, "report", "--rows", rows, "--out", "-")
-        assert code == EXIT_CONTRACT
-        assert "engine" in err
+        assert code == EXIT_INPUT
+        assert err == (
+            f"error: {rows}: CA/google: no engine row at cutoff 3 "
+            "to compare ctvm(CA) against\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: [*lines, "CA,google,engine,3,0.1000000000,1"],
+                "two engine rows at cutoff 3",
+            ),
+            (
+                lambda lines: [*lines, "CA,google,ctvm(CA),3,0.1000000000,1"],
+                "two ctvm(CA) rows at cutoff 3",
+            ),
+            (
+                lambda lines: [lines[0], *lines[2:]],
+                "no engine row at cutoff 3 to compare ctvm(CA) against",
+            ),
+        ],
+        ids=["two-engine-rows", "two-ctvm-rows", "no-engine-row"],
+    )
+    def test_bad_row_set_exits_one(self, edit, message, golden, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        write_lines(rows, edit(read(golden / "expected_rows.csv").splitlines()))
+        out, marked = tmp_path / "report.txt", tmp_path / "marked.csv"
+        out.write_text("old report\n")
+        marked.write_text("old csv\n")
+        code, stdout, err = run(
+            capsys, "report", "--rows", rows, "--out", out, "--csv", marked
+        )
+        assert code == EXIT_INPUT
+        assert stdout == ""
+        assert err == f"error: {rows}: CA/google: {message}\n"
+        assert read(out) == "old report\n"
+        assert read(marked) == "old csv\n"
 
     def test_non_csv_input_exits_one(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
@@ -1008,6 +1069,24 @@ class TestReport:
         assert out == ""
         assert err.startswith("error: bad eval row on line 4:")
         assert err.count("\n") == 1
+
+    def test_short_row_exits_one(self, tmp_path, capsys):
+        # a short row leaves its last columns None, here region's
+        rows = tmp_path / "rows.csv"
+        write_lines(
+            rows,
+            [
+                "engine,provenance,cutoff,mean_ndcg,n_queries,region",
+                "google,engine,3,0.5,1,CA",
+                "google,engine,3,0.5,1",
+            ],
+        )
+        code, out, err = run(capsys, "report", "--rows", rows, "--out", "-")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            "error: bad eval row on line 3: row has fewer fields than the header\n"
+        )
 
 
 # Input flags per subcommand and the golden file each reads

@@ -176,16 +176,13 @@ class TestRankingRelevances:
         lookup = lookup_for(
             {("q", "a", "CA"): 3, ("q", "b", "CA"): 1, ("q", "a", "NY"): 2}
         )
-        ranking = Ranking((("b", 1), ("a", 2), ("zz", 3)), "engine")
+        ranking = Ranking(("b", "a", "zz"), "engine")
         assert ranking_relevances(ranking, lookup, "q", "CA") == [1.0, 3.0, 0.0]
         assert lookup.misses == 1
 
 
 def ranked(ids: list[str], provenance: str) -> Ranking:
-    return Ranking(
-        tuple((news_id, i) for i, news_id in enumerate(ids, start=1)),
-        provenance,
-    )
+    return Ranking(tuple(ids), provenance)
 
 
 class TestMeanNdcg:
@@ -346,7 +343,7 @@ def reference_scores(units, cells, region, config, require_complete):
         (query_id, ranking_relevances(ranking, lookup, query_id, region))
         for query_id, ranking in units
         if not require_complete
-        or all(lookup.contains(query_id, n, region) for n in ranking.ids())
+        or all(lookup.contains(query_id, n, region) for n in ranking.ids)
     ]
     scores = [
         QueryScore(query_id, k, ndcg(relevances, k, config))
@@ -510,6 +507,11 @@ class TestCompare:
     def test_duplicate_engine_row_rejected(self):
         with pytest.raises(ContractViolation, match="two engine rows"):
             compare([row("engine", 5, 0.9), row("engine", 5, 0.8)])
+
+    def test_duplicate_ranking_row_rejected(self):
+        rows = [row("engine", 5, 0.5), row("ctvm(CA)", 5, 0.9)]
+        with pytest.raises(ContractViolation, match=r"two ctvm\(CA\) rows"):
+            compare([*rows, row("ctvm(CA)", 5, 0.1)])
 
 
 class TestFormatTable:

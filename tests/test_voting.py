@@ -168,21 +168,17 @@ class TestVote:
 
 
 class TestRanking:
-    def test_positions_must_be_contiguous(self):
-        with pytest.raises(ValueError, match="positions"):
-            Ranking((("a", 1), ("b", 3)), "engine")
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Ranking((("a", 1), ("a", 2)), "engine")
+            Ranking(("a", "a"), "engine")
 
     def test_empty_provenance_rejected(self):
         with pytest.raises(ValueError, match="provenance"):
-            Ranking((("a", 1),), "")
+            Ranking(("a",), "")
 
     def test_ids(self):
-        ranking = Ranking((("b", 1), ("a", 2)), "engine")
-        assert ranking.ids() == ("b", "a")
+        ranking = Ranking(("b", "a"), "engine")
+        assert ranking.ids == ("b", "a")
         assert len(ranking) == 2
 
     def test_provenance_labels(self):
@@ -195,7 +191,7 @@ class TestRerank:
     def test_engine_ranking_follows_original_rank(self):
         news = [make_news("n2", 2, "B"), make_news("n1", 1, "A")]
         ranking = engine_ranking(news)
-        assert ranking.ids() == ("n1", "n2")
+        assert ranking.ids == ("n1", "n2")
         assert ranking.provenance == "engine"
 
     def test_descending_votes(self):
@@ -208,7 +204,7 @@ class TestRerank:
             (("nA", 0.2), ("nB", 0.9), ("nC", 0.5)), tweet_count=3, region="CA"
         )
         ranking = rerank(news, votes)
-        assert ranking.ids() == ("nB", "nC", "nA")
+        assert ranking.ids == ("nB", "nC", "nA")
         assert ranking.provenance == "ctvm(CA)"
 
     def test_ties_keep_engine_order(self):
@@ -220,14 +216,14 @@ class TestRerank:
         votes = VoteVector(
             (("nC", 0.5), ("nA", 0.5), ("nB", 0.5)), tweet_count=1
         )
-        assert rerank(news, votes).ids() == ("nA", "nB", "nC")
+        assert rerank(news, votes).ids == ("nA", "nB", "nC")
 
     def test_all_zero_votes_reproduce_engine_order(self):
         news = [make_news(f"n{i}", i, f"T{i}") for i in range(1, 6)]
         votes = VoteVector(
             tuple((d.id, 0.0) for d in news), tweet_count=0, region="CA"
         )
-        assert rerank(news, votes).ids() == tuple(d.id for d in news)
+        assert rerank(news, votes).ids == tuple(d.id for d in news)
 
     def test_count_mismatch_rejected(self):
         news = [make_news("nA", 1, "A")]
@@ -451,7 +447,7 @@ class TestRerankProperties:
             [d.original_rank for d in news],
             list(values),
         )
-        assert list(rerank(news, votes).ids()) == expected
+        assert list(rerank(news, votes).ids) == expected
 
     @settings(max_examples=80)
     @given(
@@ -468,6 +464,6 @@ class TestRerankProperties:
             tweet_count=len(values),
         )
         by_id = votes.by_id()
-        ranked = rerank(news, votes).ids()
+        ranked = rerank(news, votes).ids
         for earlier, later in zip(ranked, ranked[1:]):
             assert by_id[earlier] >= by_id[later]
