@@ -35,7 +35,7 @@ from .judgments import (
 from .porter import stem
 from .similarity import cosine
 from .textproc import Pipeline, load_stopwords, to_vector, tokenize
-from .voting import Ranking, VoteVector, engine_ranking, rerank, vote
+from .voting import Ranking, engine_ranking, rerank, vote
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "RegionTable",
     "RelevanceLookup",
     "Tweet",
-    "VoteVector",
     "aggregate",
     "compare",
     "cosine",

@@ -244,8 +244,8 @@ def cmd_rerank(args) -> int:
                 include_snippet=args.include_snippet,
                 news_vectors=news_vectors,
             )
-            rankings.append((rerank(group, votes), votes.by_id()))
-        for ranking, votes_by_id in rankings:
+            rankings.append((rerank(corpus_slice, votes), votes))
+        for ranking, votes in rankings:
             for position, news_id in enumerate(ranking.ids, start=1):
                 record = {
                     "query_id": query_id,
@@ -254,7 +254,7 @@ def cmd_rerank(args) -> int:
                     "provenance": ranking.provenance,
                     "position": position,
                     "news_id": news_id,
-                    "vote": None if votes_by_id is None else votes_by_id[news_id],
+                    "vote": None if votes is None else votes[news_id],
                 }
                 lines.append(json.dumps(record, ensure_ascii=False))
     if not lines:
@@ -332,14 +332,16 @@ def cmd_eval(args) -> int:
 
     keys, groups = zip(*grouped)
     out_rows: list[tuple[str, str, EvalRow]] = []
+    misses = 0
     for region in regions:
         results = mean_ndcg(
             groups, lookup, region, config, require_complete=args.require_complete
         )
-        for (engine, _provenance), (rows, _scores) in zip(keys, results):
+        for (engine, _), (rows, _scores, group_misses) in zip(keys, results):
             out_rows.extend((region, engine, row) for row in rows)
-    if lookup.misses:
-        _note(f"{lookup.misses} ranked docs had no judgment; scored 0")
+            misses += group_misses
+    if misses:
+        _note(f"{misses} ranked docs had no judgment; scored 0")
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(EVAL_COLUMNS)
@@ -365,7 +367,7 @@ def _eval_rows(reader: csv.DictReader, path: str) -> list[tuple[str, str, EvalRo
             f"(need columns {', '.join(EVAL_COLUMNS)})"
         )
     rows: list[tuple[str, str, EvalRow]] = []
-    for lineno, record in enumerate(reader, start=2):
+    for record in reader:
         try:
             if None in map(record.get, EVAL_COLUMNS):
                 raise ValueError("row has fewer fields than the header")
@@ -382,7 +384,9 @@ def _eval_rows(reader: csv.DictReader, path: str) -> list[tuple[str, str, EvalRo
                 )
             rows.append((record["region"], record["engine"], row))
         except (KeyError, ValueError, TypeError) as exc:
-            raise InputDataError(f"bad eval row on line {lineno}: {exc}")
+            raise InputDataError(
+                f"{path}: bad eval row on line {reader.line_num}: {exc}"
+            )
     if not rows:
         raise InputDataError(f"no eval rows in {path}")
     return rows

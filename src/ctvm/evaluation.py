@@ -96,16 +96,6 @@ def ndcg(relevances: Sequence[float], k: int, config: NdcgConfig = DEFAULT_CONFI
     return min(1.0, value)
 
 
-def ranking_relevances(
-    ranking: Ranking,
-    lookup: RelevanceLookup,
-    query_id: str,
-    region: str,
-) -> list[float]:
-    """Relevance of each ranked doc under one region's judgments."""
-    return [lookup.get(query_id, news_id, region) for news_id in ranking.ids]
-
-
 class QueryScore(NamedTuple):
     """One query instance's NDCG at one cutoff. A named tuple, because
     eval builds one per (region, provenance, query instance, cutoff)."""
@@ -131,17 +121,18 @@ def mean_ndcg(
     config: NdcgConfig = DEFAULT_CONFIG,
     *,
     require_complete: bool = False,
-) -> list[tuple[list[EvalRow], list[QueryScore]]]:
+) -> list[tuple[list[EvalRow], list[QueryScore], int]]:
     """Mean NDCG per cutoff for each group of rankings under one
-    region's judgments: one (rows, scores) pair per group, in order.
+    region's judgments: one (rows, scores, misses) triple per group, in
+    order.
 
     A group pairs query instances with their rankings, all of one
     provenance. With require_complete, a query whose ranking contains
     any unjudged doc (for this region) is left out entirely; otherwise
-    unjudged docs score 0 and each one adds to lookup.misses, group by
-    group. A group with zero evaluable queries is an error, not a silent
-    zero. math.fsum keeps each mean independent of unit order. Every
-    value equals ndcg(ranking_relevances(...), k, config) exactly.
+    unjudged docs score 0, and misses counts them. A group with zero
+    evaluable queries is an error, not a silent zero. math.fsum keeps
+    each mean independent of unit order. Every value equals ndcg of the
+    ranking's relevances (0 where unjudged) at k exactly.
     """
     cutoffs = config.cutoffs
     region_gains = {
@@ -202,7 +193,6 @@ def mean_ndcg(
                     for actual, ideal in zip(cutoff_dcgs(gains), ideals)
                 ]
             )
-        lookup.misses += misses
         if not per_unit:
             raise EvalError(
                 f"no evaluable queries for {provenance} in region {region} "
@@ -220,7 +210,7 @@ def mean_ndcg(
                     n_queries=len(values),
                 )
             )
-        results.append((rows, scores))
+        results.append((rows, scores, misses))
     return results
 
 

@@ -145,10 +145,9 @@ def round_half_up(value: float) -> float:
 
 
 class RelevanceLookup:
-    """Relevance by (query, news, region), counting misses.
+    """Relevance by (query, news, region).
 
     A missing cell scores 0.0: unjudged means not known to be relevant.
-    The miss counter lets callers report how often that default fired.
     Cells are indexed once, as region -> query -> news -> relevance, so
     a caller scoring one region can take that region's cells whole.
     """
@@ -166,7 +165,6 @@ class RelevanceLookup:
             news = self._index.setdefault(js.region, {}).setdefault(js.query_id, {})
             self._cells += js.news_id not in news
             news[js.news_id] = value
-        self.misses = 0
 
     def __len__(self) -> int:
         return self._cells
@@ -175,11 +173,7 @@ class RelevanceLookup:
         return news_id in self.region_cells(region).get(query_id, {})
 
     def get(self, query_id: str, news_id: str, region: str) -> float:
-        try:
-            return self._index[region][query_id][news_id]
-        except KeyError:
-            self.misses += 1
-            return 0.0
+        return self.region_cells(region).get(query_id, {}).get(news_id, 0.0)
 
     def region_cells(self, region: str) -> dict[str, dict[str, float]]:
         """One region's judged cells as query -> news -> relevance; empty

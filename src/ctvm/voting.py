@@ -20,34 +20,6 @@ from .similarity import MODE_COMMON_SET, SIM_MODES, unchecked_cosine as cosine
 from .textproc import Pipeline, TermVector, to_vector
 
 
-@dataclass(frozen=True)
-class VoteVector:
-    """Vote totals for one slice, aligned with its news order."""
-
-    scores: tuple[tuple[str, float], ...]
-    tweet_count: int
-    region: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.tweet_count < 0:
-            raise ValueError("tweet_count cannot be negative")
-        for news_id, value in self.scores:
-            if value < 0.0:
-                raise ValueError(f"vote for {news_id} is negative: {value}")
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def news_ids(self) -> tuple[str, ...]:
-        return tuple(news_id for news_id, _ in self.scores)
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(value for _, value in self.scores)
-
-    def by_id(self) -> dict[str, float]:
-        return dict(self.scores)
-
-
 def news_text(doc: NewsDoc, include_snippet: bool = False) -> str:
     if include_snippet and doc.snippet:
         return f"{doc.title} {doc.snippet}"
@@ -61,8 +33,8 @@ def vote(
     include_snippet: bool = False,
     *,
     news_vectors: dict[str, TermVector] | None = None,
-) -> VoteVector:
-    """Accumulate tweet votes for every news doc in the slice.
+) -> dict[str, float]:
+    """Each news doc's vote, as news id -> total in the slice's news order.
 
     Tweets are processed in slice order and each contributes the
     similarity between its term vector and the doc's, so totals are
@@ -97,10 +69,7 @@ def vote(
             continue
         for j, news_vector in enumerate(doc_vectors):
             totals[j] += cosine(tweet_vector, news_vector, sim_mode)
-    scores = tuple(
-        (doc.id, total) for doc, total in zip(corpus_slice.news, totals)
-    )
-    return VoteVector(scores, len(corpus_slice.tweets), corpus_slice.region)
+    return {doc.id: total for doc, total in zip(corpus_slice.news, totals)}
 
 
 @dataclass(frozen=True)
@@ -135,17 +104,14 @@ def engine_ranking(news: Sequence[NewsDoc]) -> Ranking:
     return Ranking(tuple(doc.id for doc in ordered), PROVENANCE_ENGINE)
 
 
-def rerank(news: Sequence[NewsDoc], votes: VoteVector) -> Ranking:
-    """Order news by descending vote; engine rank breaks ties."""
-    if len(news) != len(votes):
+def rerank(corpus_slice: CorpusSlice, votes: dict[str, float]) -> Ranking:
+    """Order the slice's news by descending vote; engine rank breaks ties."""
+    news = corpus_slice.news
+    unmatched = votes.keys() ^ {doc.id for doc in news}
+    if unmatched:
         raise ContractViolation(
-            f"{len(news)} news docs but {len(votes)} votes"
+            f"votes do not match the slice's news at {min(unmatched)}"
         )
-    by_id = votes.by_id()
-    for doc in news:
-        if doc.id not in by_id:
-            raise ContractViolation(f"no vote for news {doc.id}")
-    ordered = sorted(news, key=lambda d: (-by_id[d.id], d.original_rank))
+    ordered = sorted(news, key=lambda d: (-votes[d.id], d.original_rank))
     ids = tuple(doc.id for doc in ordered)
-    return Ranking(ids, provenance_for_region(votes.region))
-
+    return Ranking(ids, provenance_for_region(corpus_slice.region))

@@ -22,7 +22,7 @@ from ctvm.evaluation import ndcg
 from ctvm.judgments import aggregate, load_judgment_records
 from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE
 from ctvm.textproc import Pipeline, load_stopwords
-from ctvm.voting import VoteVector, rerank, vote
+from ctvm.voting import rerank, vote
 
 from oracles import naive_resolve, naive_rerank, naive_votes
 
@@ -169,17 +169,14 @@ def test_04_rerank_matches_sort_reference_exactly():
         ]
         # a small value set forces plenty of vote ties
         values = [rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(n)]
-        votes = VoteVector(
-            tuple((doc.id, v) for doc, v in zip(news, values)),
-            tweet_count=n,
-            region="CA",
-        )
+        votes = {doc.id: v for doc, v in zip(news, values)}
         expected = naive_rerank(
             [doc.id for doc in news],
             [doc.original_rank for doc in news],
             values,
         )
-        assert list(rerank(news, votes).ids) == expected
+        corpus_slice = CorpusSlice(QUERY_QQ, "CA", DAY, "google", (), tuple(news))
+        assert list(rerank(corpus_slice, votes).ids) == expected
     report("PASS 4: 1000 tie-heavy rerank cases matched the reference exactly")
 
 

@@ -1067,8 +1067,27 @@ class TestReport:
         code, out, err = run(capsys, "report", "--rows", rows, "--out", "-")
         assert code == EXIT_INPUT
         assert out == ""
-        assert err.startswith("error: bad eval row on line 4:")
+        assert err.startswith(f"error: {rows}: bad eval row on line 4:")
         assert err.count("\n") == 1
+
+    def test_bad_row_names_file_and_line_past_blank_lines(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        write_lines(
+            rows,
+            [
+                ",".join(cli.EVAL_COLUMNS),
+                "",
+                "CA,google,engine,3,0.5000000000,1",
+                "CA,google,ctvm(CA),3,nan,1",
+            ],
+        )
+        code, out, err = run(capsys, "report", "--rows", rows, "--out", "-")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            f"error: {rows}: bad eval row on line 4: need cutoff >= 1, "
+            "n_queries >= 1 and mean_ndcg in [0, 1]\n"
+        )
 
     def test_short_row_exits_one(self, tmp_path, capsys):
         # a short row leaves its last columns None, here region's
@@ -1085,7 +1104,8 @@ class TestReport:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == (
-            "error: bad eval row on line 3: row has fewer fields than the header\n"
+            f"error: {rows}: bad eval row on line 3: "
+            "row has fewer fields than the header\n"
         )
 
 

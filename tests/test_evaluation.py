@@ -17,12 +17,11 @@ from ctvm.evaluation import (
     format_table,
     mean_ndcg,
     ndcg,
-    ranking_relevances,
 )
 from ctvm.judgments import JudgmentRecord, JudgmentSet, RelevanceLookup, aggregate
 from ctvm.voting import Ranking
 
-from oracles import naive_dcg, naive_mean, naive_ndcg
+from oracles import naive_dcg, naive_mean, naive_ndcg, ranking_relevances
 
 NDCG_TOL = 1e-9
 
@@ -178,7 +177,6 @@ class TestRankingRelevances:
         )
         ranking = Ranking(("b", "a", "zz"), "engine")
         assert ranking_relevances(ranking, lookup, "q", "CA") == [1.0, 3.0, 0.0]
-        assert lookup.misses == 1
 
 
 def ranked(ids: list[str], provenance: str) -> Ranking:
@@ -197,7 +195,7 @@ class TestMeanNdcg:
     def test_single_query(self):
         lookup = lookup_for(self.CELLS)
         units = [("q1", ranked(["a", "b", "c"], "engine"))]
-        [(rows, scores)] = mean_ndcg(
+        [(rows, scores, misses)] = mean_ndcg(
             [units], lookup, "CA", NdcgConfig(cutoffs=(3,))
         )
         assert rows == [
@@ -206,6 +204,7 @@ class TestMeanNdcg:
             )
         ]
         assert scores == [QueryScore("q1", 3, 1.0)]
+        assert misses == 0
 
     def test_mean_over_queries_per_cutoff(self):
         lookup = lookup_for(self.CELLS)
@@ -213,7 +212,7 @@ class TestMeanNdcg:
             ("q1", ranked(["a", "b", "c"], "engine")),
             ("q2", ranked(["d", "e"], "engine")),
         ]
-        [(rows, scores)] = mean_ndcg(
+        [(rows, scores, _)] = mean_ndcg(
             [units], lookup, "CA", NdcgConfig(cutoffs=(2, 3))
         )
         q2 = ndcg([2, 3], 2)
@@ -228,9 +227,11 @@ class TestMeanNdcg:
     def test_unjudged_docs_score_zero_by_default(self):
         lookup = lookup_for(self.CELLS)
         units = [("q1", ranked(["a", "zz"], "engine"))]
-        [(rows, _)] = mean_ndcg([units], lookup, "CA", NdcgConfig(cutoffs=(2,)))
+        [(rows, _, misses)] = mean_ndcg(
+            [units], lookup, "CA", NdcgConfig(cutoffs=(2,))
+        )
         assert rows[0].mean_ndcg == 1.0  # [3, 0] is already ideal
-        assert lookup.misses == 1
+        assert misses == 1
 
     def test_require_complete_skips_partial_queries(self):
         lookup = lookup_for(self.CELLS)
@@ -238,7 +239,7 @@ class TestMeanNdcg:
             ("q1", ranked(["a", "b"], "engine")),
             ("q2", ranked(["d", "zz"], "engine")),
         ]
-        [(rows, scores)] = mean_ndcg(
+        [(rows, scores, misses)] = mean_ndcg(
             [units],
             lookup,
             "CA",
@@ -247,6 +248,7 @@ class TestMeanNdcg:
         )
         assert rows[0].n_queries == 1
         assert [s.query_id for s in scores] == ["q1"]
+        assert misses == 0  # the dropped query's unjudged doc is not a miss
 
     def test_require_complete_can_exhaust(self):
         lookup = lookup_for(self.CELLS)
@@ -283,11 +285,11 @@ class TestMeanNdcg:
             ("q%d" % i, ranked(["n%d" % i, "x%d" % i], "engine"))
             for i in range(6)
         ]
-        [(baseline_rows, _)] = mean_ndcg(
+        [(baseline_rows, _, _)] = mean_ndcg(
             [units], lookup, "CA", NdcgConfig(cutoffs=(2,))
         )
         shuffled = [units[i] for i in order]
-        [(rows, _)] = mean_ndcg([shuffled], lookup, "CA", NdcgConfig(cutoffs=(2,)))
+        [(rows, _, _)] = mean_ndcg([shuffled], lookup, "CA", NdcgConfig(cutoffs=(2,)))
         # fsum makes this exact equality, not approx
         assert rows[0].mean_ndcg == baseline_rows[0].mean_ndcg
 
@@ -339,18 +341,24 @@ def lookup_of(cells: dict[tuple[str, str, str], float]) -> RelevanceLookup:
 def reference_scores(units, cells, region, config, require_complete):
     """mean_ndcg's scores and miss count, one ndcg call per (unit, k)."""
     lookup = lookup_of(cells)
-    kept = [
-        (query_id, ranking_relevances(ranking, lookup, query_id, region))
-        for query_id, ranking in units
-        if not require_complete
-        or all(lookup.contains(query_id, n, region) for n in ranking.ids)
-    ]
+    kept = []
+    misses = 0
+    for query_id, ranking in units:
+        unjudged = sum(
+            not lookup.contains(query_id, n, region) for n in ranking.ids
+        )
+        if require_complete and unjudged:
+            continue
+        misses += unjudged
+        kept.append(
+            (query_id, ranking_relevances(ranking, lookup, query_id, region))
+        )
     scores = [
         QueryScore(query_id, k, ndcg(relevances, k, config))
         for k in config.cutoffs
         for query_id, relevances in kept
     ]
-    return scores, lookup.misses
+    return scores, misses
 
 
 class TestMeanNdcgExactness:
@@ -376,11 +384,11 @@ class TestMeanNdcgExactness:
             with pytest.raises(EvalError, match="require_complete"):
                 mean_ndcg([units], lookup, region, config, require_complete=True)
             return
-        [(rows, scores)] = mean_ndcg(
+        [(rows, scores, misses)] = mean_ndcg(
             [units], lookup, region, config, require_complete=require_complete
         )
         assert scores == expected
-        assert lookup.misses == expected_misses
+        assert misses == expected_misses
         for row in rows:
             values = [s.value for s in scores if s.cutoff == row.cutoff]
             assert row.mean_ndcg == math.fsum(values) / len(values)
@@ -397,7 +405,8 @@ class TestMeanNdcgExactness:
 
 class TestMeanNdcgGroups:
     """One call scores many groups under one region; each group's
-    result, misses and errors are those of the group scored alone."""
+    result, misses included, and errors are those of the group scored
+    alone."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -410,17 +419,19 @@ class TestMeanNdcgGroups:
     def test_one_call_equals_each_group_alone(
         self, cells, groups, region, config, require_complete
     ):
-        alone, misses, error = [], 0, None
+        alone, error = [], None
         for units in groups:
-            lookup = lookup_of(cells)
             try:
                 alone += mean_ndcg(
-                    [units], lookup, region, config, require_complete=require_complete
+                    [units],
+                    lookup_of(cells),
+                    region,
+                    config,
+                    require_complete=require_complete,
                 )
             except EvalError as exc:
                 error = str(exc)
                 break
-            misses += lookup.misses
         lookup = lookup_of(cells)
         if error is None:
             results = mean_ndcg(
@@ -433,7 +444,6 @@ class TestMeanNdcgGroups:
                     groups, lookup, region, config, require_complete=require_complete
                 )
             assert str(excinfo.value) == error
-        assert lookup.misses == misses
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -451,11 +461,9 @@ class TestMeanNdcgGroups:
         with pytest.raises(error) as alone:
             mean_ndcg([bad], lookup_of(cells), "CA")
         good = [("q1", ranked(["a", "zz"], "engine"))]
-        lookup = lookup_of(cells)
         with pytest.raises(error) as excinfo:
-            mean_ndcg([good, bad, good], lookup, "CA")
+            mean_ndcg([good, bad, good], lookup_of(cells), "CA")
         assert str(excinfo.value) == str(alone.value)
-        assert lookup.misses == 1  # the first group's, added before the raise
 
 
 def row(provenance, cutoff, value, marked=False):

@@ -283,15 +283,14 @@ class TestRelevanceLookup:
         lookup = RelevanceLookup(self.make_sets())
         assert lookup.get("q", "n1", "CA") == pytest.approx(8 / 3)
         assert lookup.contains("q", "n1", "CA")
-        assert lookup.misses == 0
         assert len(lookup) == 1
 
-    def test_miss_scores_zero_and_counts(self):
+    def test_miss_scores_zero(self):
         lookup = RelevanceLookup(self.make_sets())
         assert lookup.get("q", "n9", "CA") == 0.0
         assert lookup.get("q", "n1", "TX") == 0.0
-        assert lookup.misses == 2
         assert not lookup.contains("q", "n9", "CA")
+        assert not lookup.contains("q", "n1", "TX")
 
     def test_round_scores_option(self):
         lookup = RelevanceLookup(self.make_sets(), round_scores=True)

@@ -13,7 +13,6 @@ from ctvm.textproc import Pipeline, to_vector
 from ctvm.voting import (
     PROVENANCE_ENGINE,
     Ranking,
-    VoteVector,
     engine_ranking,
     news_text,
     provenance_for_region,
@@ -70,23 +69,6 @@ WORKSHEET_TWEETS = (
 )
 
 
-class TestVoteVector:
-    def test_accessors(self):
-        vv = VoteVector((("a", 1.5), ("b", 0.0)), tweet_count=3, region="CA")
-        assert vv.news_ids() == ("a", "b")
-        assert vv.values() == (1.5, 0.0)
-        assert vv.by_id() == {"a": 1.5, "b": 0.0}
-        assert len(vv) == 2
-
-    def test_negative_vote_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            VoteVector((("a", -0.1),), tweet_count=1)
-
-    def test_negative_tweet_count_rejected(self):
-        with pytest.raises(ValueError):
-            VoteVector((), tweet_count=-1)
-
-
 class TestNewsText:
     def test_title_only_by_default(self):
         doc = make_news("n1", 1, "Title here", snippet="Snippet there")
@@ -104,16 +86,14 @@ class TestNewsText:
 class TestVote:
     def test_worksheet_scenario(self, obama_pipeline):
         votes = vote(make_slice(WORKSHEET_TWEETS, WORKSHEET_NEWS), obama_pipeline)
-        assert votes.news_ids() == ("n-vac", "n-speech", "n-tax")
-        assert votes.tweet_count == 5
-        assert votes.values() == pytest.approx(
+        assert tuple(votes) == ("n-vac", "n-speech", "n-tax")
+        assert tuple(votes.values()) == pytest.approx(
             (1.0, 2.0, 2.948683298050514), abs=VOTE_TOL
         )
 
     def test_no_tweets_means_zero_votes(self, obama_pipeline):
         votes = vote(make_slice((), WORKSHEET_NEWS), obama_pipeline)
-        assert votes.values() == (0.0, 0.0, 0.0)
-        assert votes.tweet_count == 0
+        assert votes == {"n-vac": 0.0, "n-speech": 0.0, "n-tax": 0.0}
 
     def test_no_news_raises(self, obama_pipeline):
         with pytest.raises(EmptySliceError):
@@ -123,8 +103,7 @@ class TestVote:
         # every term is the query or a stopword, so the vector is empty
         tweets = (make_tweet("t1", "obama is the and of"),)
         votes = vote(make_slice(tweets, WORKSHEET_NEWS), obama_pipeline)
-        assert votes.values() == (0.0, 0.0, 0.0)
-        assert votes.tweet_count == 1
+        assert votes == {"n-vac": 0.0, "n-speech": 0.0, "n-tax": 0.0}
 
     def test_include_snippet_changes_votes(self, obama_pipeline):
         news = (make_news("n1", 1, "Obama speaks", snippet="tax cut plan"),)
@@ -133,8 +112,8 @@ class TestVote:
         rich = vote(
             make_slice(tweets, news), obama_pipeline, include_snippet=True
         )
-        assert bare.values() == (0.0,)
-        assert rich.values() == (1.0,)
+        assert bare == {"n1": 0.0}
+        assert rich == {"n1": 1.0}
 
     @pytest.mark.parametrize(
         "tweets",
@@ -163,8 +142,8 @@ class TestVote:
         full = vote(
             make_slice(tweets, news), obama_pipeline, sim_mode=MODE_FULL_COSINE
         )
-        assert common.values()[0] == 1.0
-        assert 0.0 < full.values()[0] < 1.0
+        assert common["n1"] == 1.0
+        assert 0.0 < full["n1"] < 1.0
 
 
 class TestRanking:
@@ -200,10 +179,8 @@ class TestRerank:
             make_news("nB", 2, "B"),
             make_news("nC", 3, "C"),
         ]
-        votes = VoteVector(
-            (("nA", 0.2), ("nB", 0.9), ("nC", 0.5)), tweet_count=3, region="CA"
-        )
-        ranking = rerank(news, votes)
+        votes = {"nA": 0.2, "nB": 0.9, "nC": 0.5}
+        ranking = rerank(make_slice((), news), votes)
         assert ranking.ids == ("nB", "nC", "nA")
         assert ranking.provenance == "ctvm(CA)"
 
@@ -213,29 +190,25 @@ class TestRerank:
             make_news("nB", 2, "B"),
             make_news("nC", 3, "C"),
         ]
-        votes = VoteVector(
-            (("nC", 0.5), ("nA", 0.5), ("nB", 0.5)), tweet_count=1
-        )
-        assert rerank(news, votes).ids == ("nA", "nB", "nC")
+        votes = {"nC": 0.5, "nA": 0.5, "nB": 0.5}
+        assert rerank(make_slice((), news), votes).ids == ("nA", "nB", "nC")
 
     def test_all_zero_votes_reproduce_engine_order(self):
         news = [make_news(f"n{i}", i, f"T{i}") for i in range(1, 6)]
-        votes = VoteVector(
-            tuple((d.id, 0.0) for d in news), tweet_count=0, region="CA"
-        )
-        assert rerank(news, votes).ids == tuple(d.id for d in news)
+        votes = {d.id: 0.0 for d in news}
+        assert rerank(make_slice((), news), votes).ids == tuple(d.id for d in news)
 
     def test_count_mismatch_rejected(self):
         news = [make_news("nA", 1, "A")]
-        votes = VoteVector((("nA", 0.1), ("nB", 0.2)), tweet_count=1)
+        votes = {"nA": 0.1, "nB": 0.2}
         with pytest.raises(ContractViolation):
-            rerank(news, votes)
+            rerank(make_slice((), news), votes)
 
     def test_id_mismatch_rejected(self):
         news = [make_news("nA", 1, "A")]
-        votes = VoteVector((("nX", 0.1),), tweet_count=1)
+        votes = {"nX": 0.1}
         with pytest.raises(ContractViolation, match="nA"):
-            rerank(news, votes)
+            rerank(make_slice((), news), votes)
 
 
 WORDS = st.sampled_from(
@@ -273,7 +246,7 @@ class TestVoteProperties:
             frozenset({"obama"}),
             mode,
         )
-        assert votes.values() == pytest.approx(tuple(expected), abs=VOTE_TOL)
+        assert tuple(votes.values()) == pytest.approx(tuple(expected), abs=VOTE_TOL)
 
     @settings(max_examples=60)
     @given(corpus_slice=slices())
@@ -296,8 +269,8 @@ class TestVoteProperties:
             tuple(shuffled),
             corpus_slice.news,
         )
-        assert vote(permuted, obama_pipeline).values() == pytest.approx(
-            baseline.values(), abs=VOTE_TOL
+        assert tuple(vote(permuted, obama_pipeline).values()) == pytest.approx(
+            tuple(baseline.values()), abs=VOTE_TOL
         )
 
     @settings(max_examples=60)
@@ -340,7 +313,7 @@ class TestVoteProperties:
             corpus_slice.tweets[half:],
             corpus_slice.news,
         )
-        whole = vote(corpus_slice, obama_pipeline).values()
+        whole = tuple(vote(corpus_slice, obama_pipeline).values())
         parts = [
             a + b
             for a, b in zip(
@@ -438,16 +411,13 @@ class TestRerankProperties:
     )
     def test_matches_oracle_with_ties(self, values):
         news = [make_news(f"n{i}", i, f"T{i}") for i in range(1, len(values) + 1)]
-        votes = VoteVector(
-            tuple((d.id, v) for d, v in zip(news, values)),
-            tweet_count=len(values),
-        )
+        votes = {d.id: v for d, v in zip(news, values)}
         expected = naive_rerank(
             [d.id for d in news],
             [d.original_rank for d in news],
             list(values),
         )
-        assert list(rerank(news, votes).ids) == expected
+        assert list(rerank(make_slice((), news), votes).ids) == expected
 
     @settings(max_examples=80)
     @given(
@@ -459,11 +429,7 @@ class TestRerankProperties:
     )
     def test_votes_descend_along_ranking(self, values):
         news = [make_news(f"n{i}", i, f"T{i}") for i in range(1, len(values) + 1)]
-        votes = VoteVector(
-            tuple((d.id, v) for d, v in zip(news, values)),
-            tweet_count=len(values),
-        )
-        by_id = votes.by_id()
-        ranked = rerank(news, votes).ids
+        votes = {d.id: v for d, v in zip(news, values)}
+        ranked = rerank(make_slice((), news), votes).ids
         for earlier, later in zip(ranked, ranked[1:]):
-            assert by_id[earlier] >= by_id[later]
+            assert votes[earlier] >= votes[later]
