@@ -331,22 +331,21 @@ def cmd_eval(args) -> int:
     config = NdcgConfig(cutoffs=args.cutoffs, variant=args.ndcg)
 
     keys, groups = zip(*grouped)
-    out_rows: list[tuple[str, str, EvalRow]] = []
+    out_rows: list[list] = []
     misses = 0
     for region in regions:
         results = mean_ndcg(
             groups, lookup, region, config, require_complete=args.require_complete
         )
-        for (engine, _), (rows, _scores, group_misses) in zip(keys, results):
-            out_rows.extend((region, engine, row) for row in rows)
+        for (engine, _), (rows, _, group_misses) in zip(keys, results):
+            out_rows.extend(_eval_cells(region, engine, row) for row in rows)
             misses += group_misses
     if misses:
         _note(f"{misses} ranked docs had no judgment; scored 0")
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(EVAL_COLUMNS)
-        for region, engine, row in out_rows:
-            writer.writerow(_eval_cells(region, engine, row))
+        writer.writerows(out_rows)
     return EXIT_OK
 
 
@@ -372,10 +371,10 @@ def _eval_rows(reader: csv.DictReader, path: str) -> list[tuple[str, str, EvalRo
             if None in map(record.get, EVAL_COLUMNS):
                 raise ValueError("row has fewer fields than the header")
             row = EvalRow(
-                provenance=record["provenance"],
-                cutoff=int(record["cutoff"]),
-                mean_ndcg=float(record["mean_ndcg"]),
-                n_queries=int(record["n_queries"]),
+                record["provenance"],
+                int(record["cutoff"]),
+                float(record["mean_ndcg"]),
+                int(record["n_queries"]),
             )
             # eval writes no other rows, and a nan engine row stars nothing
             if row.cutoff < 1 or row.n_queries < 1 or not 0 <= row.mean_ndcg <= 1:

@@ -30,16 +30,17 @@ class ContractViolation(CtvmError):
 
 def read_input(path: str | None, bundled: str | None = None) -> list[str]:
     """Lines of a UTF-8 file, or of the bundled ctvm/data file named by
-    bundled when path is None. Lines end only at \\n, \\r or \\r\\n (not
-    at every break str.splitlines() knows), so a raw U+2028 or U+0085
-    inside a JSON string stays in its record."""
+    bundled when path is None. A leading byte order mark is dropped, so
+    it cannot spoil the first record. Lines end only at \\n, \\r or
+    \\r\\n (not at every break str.splitlines() knows), so a raw U+2028
+    or U+0085 inside a JSON string stays in its record."""
     try:
         if path is None:
             source = resources.files("ctvm.data").joinpath(bundled).open(
-                encoding="utf-8"
+                encoding="utf-8-sig"
             )
         else:
-            source = open(path, encoding="utf-8")
+            source = open(path, encoding="utf-8-sig")
         with source as fh:
             return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:

@@ -13,17 +13,19 @@ Relevance values are mean judge scores and may be fractional.
 
 mean_ndcg scores all of one region's rankings in one call and builds
 what they share once, as locals: the region's gains, the discounts and
-an ideal-DCG memo keyed by the sorted gains. One running-sum pass per
-ranking then yields DCG at every cutoff, adding dcg's terms in dcg's
-order; builtin sum() compensates from Python 3.12 and would change the
-last bits, and with them the eval CSV.
+a table per unit, a query's set of ranked docs, which every ranking of
+those docs reads. The table holds the docs' gains, the unit's unjudged
+count and its ideal DCGs. One running-sum pass per ranking then yields
+DCG at every cutoff, adding dcg's terms in dcg's order; builtin sum()
+compensates from Python 3.12 and would change the last bits, and with
+them the eval CSV.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import truediv
 from typing import Iterable, NamedTuple, Sequence
 
@@ -96,17 +98,10 @@ def ndcg(relevances: Sequence[float], k: int, config: NdcgConfig = DEFAULT_CONFI
     return min(1.0, value)
 
 
-class QueryScore(NamedTuple):
-    """One query instance's NDCG at one cutoff. A named tuple, because
-    eval builds one per (region, provenance, query instance, cutoff)."""
+class EvalRow(NamedTuple):
+    """One mean NDCG: a named tuple, because eval builds one per
+    (region, group, cutoff) and report marks each again."""
 
-    query_id: str
-    cutoff: int
-    value: float
-
-
-@dataclass(frozen=True)
-class EvalRow:
     provenance: str
     cutoff: int
     mean_ndcg: float
@@ -121,10 +116,11 @@ def mean_ndcg(
     config: NdcgConfig = DEFAULT_CONFIG,
     *,
     require_complete: bool = False,
-) -> list[tuple[list[EvalRow], list[QueryScore], int]]:
+) -> list[tuple[list[EvalRow], list[tuple[str, list[float]]], int]]:
     """Mean NDCG per cutoff for each group of rankings under one
     region's judgments: one (rows, scores, misses) triple per group, in
-    order.
+    order. scores pairs each scored query instance's id with its NDCG at
+    every cutoff, in config.cutoffs order.
 
     A group pairs query instances with their rankings, all of one
     provenance. With require_complete, a query whose ranking contains
@@ -133,6 +129,10 @@ def mean_ndcg(
     evaluable queries is an error, not a silent zero. math.fsum keeps
     each mean independent of unit order. Every value equals ndcg of the
     ranking's relevances (0 where unjudged) at k exactly.
+
+    Rankings of one query over the same set of docs form a unit, and
+    share one table of the unit's doc gains, its miss count and its
+    ideal DCGs; each ranking is then one pass over that table.
     """
     cutoffs = config.cutoffs
     region_gains = {
@@ -149,16 +149,12 @@ def mean_ndcg(
         1.0 if config.variant == VARIANT_LITERAL else math.log2(position + 1)
         for position in range(1, min(longest, cutoffs[-1]) + 1)
     ]
-    # picks[n]: each cutoff's index in the prefix sums of n gains
-    picks = [tuple(min(k, n) for k in cutoffs) for n in range(len(discounts) + 1)]
-
-    def cutoff_dcgs(gains: Sequence[float]) -> list[float]:
-        """dcg(relevances, k) for each cutoff k, where gains are the
-        relevances' gains: dcg's terms added to 0.0 in dcg's order."""
-        prefix = list(accumulate(map(truediv, gains, discounts), initial=0.0))
-        return [prefix[i] for i in picks[len(prefix) - 1]]
-
-    ideal_memo: dict[tuple[float, ...], list[float]] = {}
+    # (query id, doc set) -> (doc -> gain, unjudged docs, each cutoff's
+    # (index in a ranking's prefix DCGs, ideal DCG))
+    unit_table: dict[
+        tuple[str, frozenset[str]],
+        tuple[dict[str, float], int, list[tuple[int, float]]],
+    ] = {}
     no_cells: dict[str, float] = {}
     results = []
     for units in groups:
@@ -170,46 +166,51 @@ def mean_ndcg(
                 f"mean_ndcg expects one provenance, got {sorted(provenances)}"
             )
         provenance = provenances.pop()
-        query_ids: list[str] = []
-        per_unit: list[list[float]] = []
+        scores: list[tuple[str, list[float]]] = []
         misses = 0
         for query_id, ranking in units:
-            gains = list(map(region_gains.get(query_id, no_cells).get, ranking.ids))
-            unjudged = gains.count(None)
+            ids = ranking.ids
+            unit_key = (query_id, frozenset(ids))
+            unit = unit_table.get(unit_key)
+            if unit is None:
+                cells = region_gains.get(query_id, no_cells)
+                gain_of = {news_id: cells.get(news_id, unjudged_gain) for news_id in ids}
+                unjudged = sum(news_id not in cells for news_id in ids)
+                # gain rises with relevance, so this is ndcg's ideal ordering
+                ideal = sorted(gain_of.values(), reverse=True)
+                ideal_prefix = list(
+                    accumulate(map(truediv, ideal, discounts), initial=0.0)
+                )
+                # every ranking of the unit has this many prefix DCGs
+                last = len(ideal_prefix) - 1
+                picks = [min(k, last) for k in cutoffs]
+                cuts = [(i, ideal_prefix[i]) for i in picks]
+                unit = unit_table[unit_key] = (gain_of, unjudged, cuts)
+            gain_of, unjudged, cuts = unit
             if unjudged:
                 if require_complete:
                     continue
                 misses += unjudged
-                gains = [unjudged_gain if gain is None else gain for gain in gains]
-            # gain rises with relevance, so these are ndcg's ideal ordering
-            ideal_key = tuple(sorted(gains, reverse=True))
-            ideals = ideal_memo.get(ideal_key)
-            if ideals is None:
-                ideals = ideal_memo[ideal_key] = cutoff_dcgs(ideal_key)
-            query_ids.append(query_id)
-            per_unit.append(
-                [
-                    0.0 if ideal == 0.0 else min(1.0, actual / ideal)
-                    for actual, ideal in zip(cutoff_dcgs(gains), ideals)
-                ]
+            # dcg's terms added to 0.0 in dcg's order: the DCG at each prefix
+            prefix = list(
+                accumulate(
+                    map(truediv, map(gain_of.__getitem__, ids), discounts), initial=0.0
+                )
             )
-        if not per_unit:
+            values = [
+                0.0 if ideal == 0.0 else min(1.0, prefix[i] / ideal)
+                for i, ideal in cuts
+            ]
+            scores.append((query_id, values))
+        if not scores:
             raise EvalError(
                 f"no evaluable queries for {provenance} in region {region} "
                 f"(require_complete dropped all {len(units)})"
             )
-        rows: list[EvalRow] = []
-        scores: list[QueryScore] = []
-        for k, values in zip(cutoffs, zip(*per_unit)):
-            scores.extend(map(QueryScore, query_ids, repeat(k), values))
-            rows.append(
-                EvalRow(
-                    provenance=provenance,
-                    cutoff=k,
-                    mean_ndcg=math.fsum(values) / len(values),
-                    n_queries=len(values),
-                )
-            )
+        rows = [
+            EvalRow(provenance, k, math.fsum(values) / len(values), len(values))
+            for k, values in zip(cutoffs, zip(*(values for _, values in scores)))
+        ]
         results.append((rows, scores, misses))
     return results
 
@@ -240,8 +241,8 @@ def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:
                     f"{row.provenance} against"
                 )
             better = row.mean_ndcg > baseline.mean_ndcg
-        # built directly: dataclasses.replace costs several times more,
-        # and report marks one row per (provenance, cutoff)
+        # built directly: _replace costs more, and report marks one row
+        # per (provenance, cutoff)
         marked.append(
             EvalRow(row.provenance, row.cutoff, row.mean_ndcg, row.n_queries, better)
         )

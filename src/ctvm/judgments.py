@@ -9,9 +9,8 @@ rated the same cell twice counts once, with the later record winning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import Tally, _JUDGMENT_FIELDS, _parse_record, _record_lines
 
@@ -45,8 +44,10 @@ def parse_label(value: object) -> Label:
     raise ValueError(f"judgment label must be text or int: {value!r}")
 
 
-@dataclass(frozen=True)
-class JudgmentRecord:
+class JudgmentRecord(NamedTuple):
+    """One judge's label for one cell, as read; eval builds one per
+    judgment line, so it is a named tuple."""
+
     query_id: str
     news_id: str
     region: str
@@ -57,8 +58,7 @@ class JudgmentRecord:
         return (self.query_id, self.news_id, self.region)
 
 
-@dataclass(frozen=True)
-class JudgmentSet:
+class JudgmentSet(NamedTuple):
     """Aggregated cell: who said what, and the mean relevance."""
 
     query_id: str
@@ -86,14 +86,17 @@ def load_judgment_records(
             continue
         records.append(
             JudgmentRecord(
-                query_id=obj["query_id"],
-                news_id=obj["news_id"],
-                region=obj["region"],
-                judge_id=obj["judge_id"],
-                label=label,
+                obj["query_id"], obj["news_id"], obj["region"], obj["judge_id"], label
             )
         )
     return records, malformed
+
+
+def _parse_or_none(value: object) -> Label | None:
+    try:
+        return parse_label(value)
+    except ValueError:
+        return None
 
 
 def aggregate(
@@ -114,19 +117,28 @@ def aggregate(
         "cells_kept",
         "cells_dropped",
     )
+    # raw labels take few distinct values, so each (type, value) is
+    # parsed once; None marks one that does not parse. The type keeps 1,
+    # 1.0 and True apart, which compare equal.
+    parsed: dict[tuple[type, object], Label | None] = {}
     # cell -> judge -> Label, insertion-ordered for stable output
     cells: dict[tuple[str, str, str], dict[str, Label]] = {}
-    for record in records:
+    for query_id, news_id, region, judge_id, raw in records:
         report.records_in += 1
+        memo_key = (type(raw), raw)
         try:
-            label = parse_label(record.label)
-        except ValueError:
+            label = parsed[memo_key]
+        except KeyError:
+            label = parsed[memo_key] = _parse_or_none(raw)
+        except TypeError:  # unhashable, such as a list: no memo
+            label = _parse_or_none(raw)
+        if label is None:
             report.bad_labels += 1
             continue
-        judges = cells.setdefault(record.key(), {})
-        if record.judge_id in judges:
+        judges = cells.setdefault((query_id, news_id, region), {})
+        if judge_id in judges:
             report.duplicates_superseded += 1
-        judges[record.judge_id] = label
+        judges[judge_id] = label
     sets: list[JudgmentSet] = []
     for key, judges in cells.items():
         if len(judges) < min_judges:
@@ -135,7 +147,7 @@ def aggregate(
         report.cells_kept += 1
         labels = tuple(judges.items())
         mean = sum(int(l) for _, l in labels) / len(labels)
-        sets.append(JudgmentSet(key[0], key[1], key[2], labels, mean))
+        sets.append(JudgmentSet(*key, labels, mean))
     return sets, report
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from ctvm.judgments import parse_label
 from ctvm.porter import stem
 
 
@@ -187,6 +188,47 @@ def naive_resolve(
 
 def naive_mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
+
+
+def naive_aggregate(records, min_judges: int):
+    """aggregate's (cells, counts) from the contract: every record's
+    label goes through parse_label, which is shared with the package as
+    the definition of a label; cells are [(key, labels, relevance)] in
+    first-seen key order, each judge's latest label kept in the order
+    the judge first rated the cell."""
+    counts = dict.fromkeys(
+        ("records_in", "bad_labels", "duplicates_superseded", "cells_kept", "cells_dropped"),
+        0,
+    )
+    keys: list[tuple[str, str, str]] = []
+    ratings: dict[tuple[str, str, str], list[list]] = {}
+    for record in records:
+        counts["records_in"] += 1
+        try:
+            label = parse_label(record.label)
+        except ValueError:
+            counts["bad_labels"] += 1
+            continue
+        key = (record.query_id, record.news_id, record.region)
+        if key not in ratings:
+            keys.append(key)
+            ratings[key] = []
+        for rating in ratings[key]:
+            if rating[0] == record.judge_id:
+                rating[1] = label
+                counts["duplicates_superseded"] += 1
+                break
+        else:
+            ratings[key].append([record.judge_id, label])
+    cells = []
+    for key in keys:
+        labels = tuple((judge, label) for judge, label in ratings[key])
+        if len(labels) < min_judges:
+            counts["cells_dropped"] += 1
+            continue
+        counts["cells_kept"] += 1
+        cells.append((key, labels, sum(int(label) for _, label in labels) / len(labels)))
+    return cells, counts
 
 
 # naive_stem: the Porter stemmer as it stood before ctvm.porter indexed

@@ -1419,6 +1419,46 @@ class TestPipelineEndToEnd:
         assert read(report) == read(golden / "expected_report.txt")
 
 
+class TestByteOrderMark:
+    """Editors on some platforms start a UTF-8 file with a byte order
+    mark. It must not spoil the file's first record."""
+
+    @staticmethod
+    def with_bom(source, tmp_path):
+        target = tmp_path / source.name
+        target.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        return target
+
+    def test_tweets(self, golden, tmp_path, capsys):
+        tweets = self.with_bom(golden / "tweets.jsonl", tmp_path)
+        code, out, err = run(capsys, "ingest", "--tweets", tweets, "--out", "-")
+        assert code == EXIT_OK
+        assert out == read(golden / "expected_enriched.jsonl")
+        assert json.loads(err)["ingest"]["accepted"] == 7
+
+    def test_judgments(self, golden, tmp_path, capsys):
+        judgments = self.with_bom(golden / "judgments.jsonl", tmp_path)
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--rankings",
+            golden / "expected_rankings.jsonl",
+            "--judgments",
+            judgments,
+            "--out",
+            "-",
+        )
+        assert code == EXIT_OK
+        assert out == read(golden / "expected_rows.csv")
+        assert "malformed" not in err
+
+    def test_eval_rows(self, golden, tmp_path, capsys):
+        rows = self.with_bom(golden / "expected_rows.csv", tmp_path)
+        code, out, err = run(capsys, "report", "--rows", rows)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == read(golden / "expected_report.txt")
+
+
 def test_long_y_run_in_a_title_reranks(golden, tmp_path):
     """News titles have no length cap, so a token holding a long run of
     y reaches the stemmer whole; it must stem without a traceback. The

@@ -11,7 +11,6 @@ from ctvm.evaluation import (
     VARIANT_LITERAL,
     EvalRow,
     NdcgConfig,
-    QueryScore,
     compare,
     dcg,
     format_table,
@@ -203,7 +202,7 @@ class TestMeanNdcg:
                 provenance="engine", cutoff=3, mean_ndcg=1.0, n_queries=1
             )
         ]
-        assert scores == [QueryScore("q1", 3, 1.0)]
+        assert scores == [("q1", [1.0])]
         assert misses == 0
 
     def test_mean_over_queries_per_cutoff(self):
@@ -222,7 +221,7 @@ class TestMeanNdcg:
             expected_mean, abs=NDCG_TOL
         )
         assert by_cutoff[2].n_queries == 2
-        assert len(scores) == 4
+        assert [(q, len(values)) for q, values in scores] == [("q1", 2), ("q2", 2)]
 
     def test_unjudged_docs_score_zero_by_default(self):
         lookup = lookup_for(self.CELLS)
@@ -247,7 +246,7 @@ class TestMeanNdcg:
             require_complete=True,
         )
         assert rows[0].n_queries == 1
-        assert [s.query_id for s in scores] == ["q1"]
+        assert [query_id for query_id, _ in scores] == ["q1"]
         assert misses == 0  # the dropped query's unjudged doc is not a miss
 
     def test_require_complete_can_exhaust(self):
@@ -309,9 +308,22 @@ CELLS = st.lists(
     min_size=len(CELL_KEYS),
     max_size=len(CELL_KEYS),
 ).map(lambda values: {k: v for k, v in zip(CELL_KEYS, values) if v is not None})
+QUERY_IDS = st.sampled_from(("q0", "q1", "q9"))
+
+
+def permuted_copy(unit):
+    """Another ranking of the unit's doc set, as every provenance of one
+    (query, engine, date) gives, under its query or another one."""
+    query_id, ranking = unit
+    return st.tuples(
+        st.just(query_id) | QUERY_IDS,
+        st.permutations(ranking.ids).map(lambda ids: ranked(ids, "ctvm(CA)")),
+    )
+
+
 UNITS = st.lists(
     st.tuples(
-        st.sampled_from(("q0", "q1", "q9")),
+        QUERY_IDS,
         st.permutations(NEWS_IDS).flatmap(
             lambda ids: st.integers(0, len(ids)).map(
                 lambda n: ranked(list(ids[:n]), "ctvm(CA)")
@@ -319,7 +331,11 @@ UNITS = st.lists(
         ),
     ),
     min_size=1,
-    max_size=6,
+    max_size=4,
+).flatmap(
+    lambda units: st.lists(st.sampled_from(units).flatmap(permuted_copy), max_size=3)
+    .map(lambda copies: units + copies)
+    .flatmap(st.permutations)
 )
 # cutoffs may run past the longest ranking (8 docs)
 ANY_CONFIG = st.builds(
@@ -354,8 +370,7 @@ def reference_scores(units, cells, region, config, require_complete):
             (query_id, ranking_relevances(ranking, lookup, query_id, region))
         )
     scores = [
-        QueryScore(query_id, k, ndcg(relevances, k, config))
-        for k in config.cutoffs
+        (query_id, [ndcg(relevances, k, config) for k in config.cutoffs])
         for query_id, relevances in kept
     ]
     return scores, misses
@@ -389,10 +404,34 @@ class TestMeanNdcgExactness:
         )
         assert scores == expected
         assert misses == expected_misses
-        for row in rows:
-            values = [s.value for s in scores if s.cutoff == row.cutoff]
+        for i, row in enumerate(rows):
+            assert row.cutoff == config.cutoffs[i]
+            values = [per_cutoff[i] for _, per_cutoff in scores]
             assert row.mean_ndcg == math.fsum(values) / len(values)
             assert row.n_queries == len(values)
+
+    def test_one_query_over_two_doc_sets(self):
+        """One query ranked over a different doc set on each of two
+        dates: two units, each with its own gains, ideal and misses."""
+        cells = {
+            ("q1", "a", "CA"): 3.0,
+            ("q1", "b", "CA"): 1.0,
+            ("q1", "c", "CA"): 2.0,
+        }
+        units = [
+            ("q1", ranked(["x", "a", "b", "c"], "engine")),
+            ("q1", ranked(["b", "c"], "engine")),
+            ("q1", ranked(["c", "a", "x", "b"], "engine")),
+        ]
+        config = NdcgConfig(cutoffs=(1, 2))
+        [(rows, scores, misses)] = mean_ndcg([units], lookup_of(cells), "CA", config)
+        expected = [
+            ("q1", [ndcg(relevances, k, config) for k in config.cutoffs])
+            for relevances in ([0.0, 3.0, 1.0, 2.0], [1.0, 2.0], [2.0, 3.0, 0.0, 1.0])
+        ]
+        assert scores == expected
+        assert misses == 2  # x, in the first and third rankings
+        assert [row.n_queries for row in rows] == [3, 3]
 
     @settings(max_examples=100, deadline=None)
     @given(CELLS, UNITS, st.sampled_from(("CA", "NY")))

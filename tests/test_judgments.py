@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctvm.judgments import (
     JudgmentRecord,
@@ -14,6 +14,8 @@ from ctvm.judgments import (
     parse_label,
     round_half_up,
 )
+
+from oracles import naive_aggregate
 
 
 def record(news_id="n1", judge="j1", label=2, query="q", region="CA"):
@@ -162,6 +164,45 @@ class TestAggregate:
         if sets:
             expected = sum(last_by_judge.values()) / len(last_by_judge)
             assert sets[0].relevance == pytest.approx(expected)
+
+
+# raw label values as JSON can carry them: the four label texts in
+# several spellings, scores in and out of range, and values of other
+# types, some equal to a valid score (true, 1.0) and some unhashable
+LABEL_WORDS = ("not relevant", "just ok", "interesting", "very interesting")
+RAW_LABELS = st.one_of(
+    st.tuples(
+        st.sampled_from(LABEL_WORDS),
+        st.sampled_from([str.lower, str.upper, str.title]),
+        st.sampled_from([" ", "_", "  "]),
+        st.sampled_from(["", " ", "\t"]),
+    ).map(lambda t: t[3] + t[1](t[0]).replace(" ", t[2]) + t[3]),
+    st.integers(min_value=-2, max_value=5),
+    st.sampled_from(
+        [True, False, 1.0, 2.0, None, "", "meh", "1", [1], {}, ["just ok"], {"a": 1}]
+    ),
+)
+
+
+class TestAggregateLabelMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["n1", "n2"]),
+                st.sampled_from(["j1", "j2", "j3"]),
+                RAW_LABELS,
+            ),
+            max_size=20,
+        ),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_equals_parsing_every_record(self, ratings, min_judges):
+        records = [record(news_id=n, judge=j, label=v) for n, j, v in ratings]
+        sets, report = aggregate(records, min_judges=min_judges)
+        cells, counts = naive_aggregate(records, min_judges)
+        assert [(s.key(), s.labels, s.relevance) for s in sets] == cells
+        assert report.as_dict() == counts
 
 
 class TestLoader:
