@@ -305,10 +305,9 @@ def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, Ran
 EVAL_COLUMNS = ("region", "engine", "provenance", "cutoff", "mean_ndcg", "n_queries")
 
 
-def _eval_cells(region: str, engine: str, row: EvalRow) -> list:
+def _eval_cells(region, engine, provenance, cutoff, mean, n_queries) -> list:
     """One eval CSV row's cells, in EVAL_COLUMNS order."""
-    value = f"{row.mean_ndcg:.10f}"
-    return [region, engine, row.provenance, row.cutoff, value, row.n_queries]
+    return [region, engine, provenance, cutoff, f"{mean:.10f}", n_queries]
 
 
 def cmd_eval(args) -> int:
@@ -331,58 +330,61 @@ def cmd_eval(args) -> int:
     config = NdcgConfig(cutoffs=args.cutoffs, variant=args.ndcg)
 
     keys, groups = zip(*grouped)
-    out_rows: list[list] = []
-    misses = 0
-    for region in regions:
-        results = mean_ndcg(
-            groups, lookup, region, config, require_complete=args.require_complete
-        )
-        for (engine, _), (rows, _, group_misses) in zip(keys, results):
-            out_rows.extend(_eval_cells(region, engine, row) for row in rows)
-            misses += group_misses
+    results = mean_ndcg(
+        groups, lookup, regions, config, require_complete=args.require_complete
+    )
+    misses = sum(sum(group_misses) for *_, group_misses in results)
     if misses:
         _note(f"{misses} ranked docs had no judgment; scored 0")
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(EVAL_COLUMNS)
-        writer.writerows(out_rows)
+        for r, region in enumerate(regions):
+            for (engine, _), (provenance, means, counts, _) in zip(keys, results):
+                writer.writerows(
+                    _eval_cells(region, engine, provenance, k, column[r], counts[r])
+                    for k, column in zip(config.cutoffs, means)
+                )
     return EXIT_OK
 
 
 def _read_eval_rows(path: str) -> list[tuple[str, str, EvalRow]]:
-    reader = csv.DictReader(read_input(path))
+    reader = csv.reader(read_input(path))
     try:
         return _eval_rows(reader, path)
     except csv.Error as exc:
-        # DictReader's own line_num moves only after a row parses
-        line = reader.reader.line_num
-        raise InputDataError(f"{path}: bad CSV on line {line}: {exc}")
+        raise InputDataError(f"{path}: bad CSV on line {reader.line_num}: {exc}")
 
 
-def _eval_rows(reader: csv.DictReader, path: str) -> list[tuple[str, str, EvalRow]]:
-    if reader.fieldnames is None or not set(EVAL_COLUMNS) <= set(reader.fieldnames):
+def _eval_rows(reader, path: str) -> list[tuple[str, str, EvalRow]]:
+    header = next(reader, None)
+    if header is None or not set(EVAL_COLUMNS) <= set(header):
         raise InputDataError(
             f"{path} does not look like eval output "
             f"(need columns {', '.join(EVAL_COLUMNS)})"
         )
+    # a repeated column name reads its last column, as csv.DictReader does
+    where = {name: i for i, name in enumerate(header)}
+    region, engine, provenance, cutoff, value, n_queries = map(where.get, EVAL_COLUMNS)
+    width = 1 + max(map(where.get, EVAL_COLUMNS))
     rows: list[tuple[str, str, EvalRow]] = []
-    for record in reader:
+    for record in filter(None, reader):  # blank lines read as []
         try:
-            if None in map(record.get, EVAL_COLUMNS):
+            if len(record) < width:
                 raise ValueError("row has fewer fields than the header")
             row = EvalRow(
-                record["provenance"],
-                int(record["cutoff"]),
-                float(record["mean_ndcg"]),
-                int(record["n_queries"]),
+                record[provenance],
+                int(record[cutoff]),
+                float(record[value]),
+                int(record[n_queries]),
             )
             # eval writes no other rows, and a nan engine row stars nothing
             if row.cutoff < 1 or row.n_queries < 1 or not 0 <= row.mean_ndcg <= 1:
                 raise ValueError(
                     "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
                 )
-            rows.append((record["region"], record["engine"], row))
-        except (KeyError, ValueError, TypeError) as exc:
+            rows.append((record[region], record[engine], row))
+        except ValueError as exc:
             raise InputDataError(
                 f"{path}: bad eval row on line {reader.line_num}: {exc}"
             )
@@ -416,7 +418,7 @@ def cmd_report(args) -> int:
                 writer.writerow(EVAL_COLUMNS + ("better_than_engine",))
                 for region, engine, row in marked_csv:
                     flag = str(row.better_than_engine).lower()
-                    writer.writerow(_eval_cells(region, engine, row) + [flag])
+                    writer.writerow(_eval_cells(region, engine, *row[:4]) + [flag])
     return EXIT_OK
 
 

@@ -11,23 +11,21 @@ kept for comparability, not recommended.
 
 Relevance values are mean judge scores and may be fractional.
 
-mean_ndcg scores all of one region's rankings in one call and builds
-what they share once, as locals: the region's gains, the discounts and
-a table per unit, a query's set of ranked docs, which every ranking of
-those docs reads. The table holds the docs' gains, the unit's unjudged
-count and its ideal DCGs. One running-sum pass per ranking then yields
-DCG at every cutoff, adding dcg's terms in dcg's order; builtin sum()
-compensates from Python 3.12 and would change the last bits, and with
-them the eval CSV.
+mean_ndcg scores every region in one call. Only the gains depend on
+the region, so ndcg_columns builds one table per unit, a query's set of
+ranked docs: each doc's column of region gains, the unjudged counts and
+the ideal DCG columns. Each ranking is then one pass that adds a column
+per position: dcg's terms in dcg's order for every region (builtin
+sum() compensates from Python 3.12, which would change the eval CSV).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import truediv
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, repeat
+from operator import add, truediv
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractViolation, EvalError
 from .judgments import RelevanceLookup
@@ -109,39 +107,25 @@ class EvalRow(NamedTuple):
     better_than_engine: bool = False
 
 
-def mean_ndcg(
+def ndcg_columns(
     groups: Sequence[Sequence[tuple[str, Ranking]]],
     lookup: RelevanceLookup,
-    region: str,
+    regions: Sequence[str],
     config: NdcgConfig = DEFAULT_CONFIG,
     *,
     require_complete: bool = False,
-) -> list[tuple[list[EvalRow], list[tuple[str, list[float]]], int]]:
-    """Mean NDCG per cutoff for each group of rankings under one
-    region's judgments: one (rows, scores, misses) triple per group, in
-    order. scores pairs each scored query instance's id with its NDCG at
-    every cutoff, in config.cutoffs order.
-
-    A group pairs query instances with their rankings, all of one
-    provenance. With require_complete, a query whose ranking contains
-    any unjudged doc (for this region) is left out entirely; otherwise
-    unjudged docs score 0, and misses counts them. A group with zero
-    evaluable queries is an error, not a silent zero. math.fsum keeps
-    each mean independent of unit order. Every value equals ndcg of the
-    ranking's relevances (0 where unjudged) at k exactly.
-
-    Rankings of one query over the same set of docs form a unit, and
-    share one table of the unit's doc gains, its miss count and its
-    ideal DCGs; each ranking is then one pass over that table.
-    """
+) -> Iterator[tuple[str, list[tuple[str, list[int], list[list[float]]]]]]:
+    """Each ranking scored under every region in one pass: for each
+    group (query instances paired with rankings of one provenance), in
+    order, (provenance, [(query_id, unjudged, values)]), one triple per
+    ranking. unjudged[r] counts its docs regions[r] did not judge, and
+    values[c][r] is exactly ndcg of its relevances there (0 where
+    unjudged) at config.cutoffs[c], or 0.0 where require_complete
+    leaves it out of regions[r]."""
+    if isinstance(regions, str) or not regions:
+        raise ContractViolation(f"need a list of region codes, got {regions!r}")
     cutoffs = config.cutoffs
-    region_gains = {
-        query_id: {
-            news_id: _gain(relevance, config) for news_id, relevance in cells.items()
-        }
-        for query_id, cells in lookup.region_cells(region).items()
-    }
-    unjudged_gain = _gain(0.0, config)
+    region_cells = [lookup.region_cells(region) for region in regions]
     longest = max((len(r.ids) for units in groups for _, r in units), default=0)
     # discounts[i] divides the gain at position i + 1; the literal
     # variant has none, and x / 1.0 == x exactly
@@ -149,69 +133,101 @@ def mean_ndcg(
         1.0 if config.variant == VARIANT_LITERAL else math.log2(position + 1)
         for position in range(1, min(longest, cutoffs[-1]) + 1)
     ]
-    # (query id, doc set) -> (doc -> gain, unjudged docs, each cutoff's
-    # (index in a ranking's prefix DCGs, ideal DCG))
-    unit_table: dict[
-        tuple[str, frozenset[str]],
-        tuple[dict[str, float], int, list[tuple[int, float]]],
-    ] = {}
-    no_cells: dict[str, float] = {}
-    results = []
+    # (query id, doc set) -> (doc -> gain column, unjudged column, each
+    # cutoff's (length of the prefix it reads, ideal DCG column))
+    unit_table: dict[tuple[str, frozenset[str]], tuple] = {}
+    zeros = [0.0] * len(regions)
     for units in groups:
         if not units:
-            raise EvalError(f"no rankings to evaluate for region {region}")
+            raise EvalError(f"no rankings to evaluate for region {regions[0]}")
         provenances = {ranking.provenance for _, ranking in units}
         if len(provenances) != 1:
             raise ContractViolation(
                 f"mean_ndcg expects one provenance, got {sorted(provenances)}"
             )
         provenance = provenances.pop()
-        scores: list[tuple[str, list[float]]] = []
-        misses = 0
+        scored = []
         for query_id, ranking in units:
             ids = ranking.ids
             unit_key = (query_id, frozenset(ids))
             unit = unit_table.get(unit_key)
             if unit is None:
-                cells = region_gains.get(query_id, no_cells)
-                gain_of = {news_id: cells.get(news_id, unjudged_gain) for news_id in ids}
-                unjudged = sum(news_id not in cells for news_id in ids)
+                cell_maps = [cells.get(query_id, {}) for cells in region_cells]
+                gains = [[_gain(c.get(n, 0.0), config) for n in ids] for c in cell_maps]
+                unjudged = [sum(n not in c for n in ids) for c in cell_maps]
                 # gain rises with relevance, so this is ndcg's ideal ordering
-                ideal = sorted(gain_of.values(), reverse=True)
-                ideal_prefix = list(
-                    accumulate(map(truediv, ideal, discounts), initial=0.0)
-                )
-                # every ranking of the unit has this many prefix DCGs
-                last = len(ideal_prefix) - 1
-                picks = [min(k, last) for k in cutoffs]
-                cuts = [(i, ideal_prefix[i]) for i in picks]
+                ideals = [
+                    list(accumulate(map(truediv, column, discounts), initial=0.0))
+                    for column in (sorted(column, reverse=True) for column in gains)
+                ]
+                last = min(len(ids), len(discounts))
+                # a zero ideal has only zero gains, and 0.0 / 1.0 is ndcg's
+                # 0.0; so is any DCG over the inf of a unit left out
+                cuts = [
+                    (i, [math.inf if require_complete and missed else ideal[i] or 1.0
+                         for ideal, missed in zip(ideals, unjudged)])
+                    for i in (min(k, last) for k in cutoffs)
+                ]
+                gain_of = dict(zip(ids, zip(*gains)))
                 unit = unit_table[unit_key] = (gain_of, unjudged, cuts)
             gain_of, unjudged, cuts = unit
-            if unjudged:
-                if require_complete:
-                    continue
-                misses += unjudged
-            # dcg's terms added to 0.0 in dcg's order: the DCG at each prefix
-            prefix = list(
-                accumulate(
-                    map(truediv, map(gain_of.__getitem__, ids), discounts), initial=0.0
-                )
+            # dcg's terms added to 0.0 in dcg's order, every region at once;
+            # a list per position: a chain of lazy maps overflows the C stack
+            prefix, done, values = zeros, 0, []
+            for i, ideal in cuts:
+                for news_id, discount in zip(ids[done:i], discounts[done:i]):
+                    terms = map(truediv, gain_of[news_id], repeat(discount))
+                    prefix = list(map(add, prefix, terms))
+                done = i
+                values.append(list(map(min, repeat(1.0), map(truediv, prefix, ideal))))
+            scored.append((query_id, unjudged, values))
+        yield provenance, scored
+
+
+def mean_ndcg(
+    groups: Sequence[Sequence[tuple[str, Ranking]]],
+    lookup: RelevanceLookup,
+    regions: Sequence[str],
+    config: NdcgConfig = DEFAULT_CONFIG,
+    *,
+    require_complete: bool = False,
+) -> list[tuple[str, list[list[float]], list[int], list[int]]]:
+    """Mean NDCG of each group under each region's judgments: one
+    (provenance, means, counts, misses) per group, in order. means[c][r]
+    is the mean at config.cutoffs[c] over the counts[r] queries scored
+    under regions[r]; misses[r] counts their unjudged docs, scored 0.
+
+    With require_complete, a query whose ranking holds a doc the region
+    did not judge is left out there. A group with no evaluable query is
+    an error; the first in (region, group) order is raised. math.fsum
+    keeps each mean independent of unit order.
+    """
+    results = []
+    errors: dict[int, EvalError] = {}
+    for provenance, scored in ndcg_columns(
+        groups, lookup, regions, config, require_complete=require_complete
+    ):
+        unjudged = list(zip(*(unjudged for _, unjudged, _ in scored)))
+        counts = [m.count(0) if require_complete else len(m) for m in unjudged]
+        for r in [r for r, n in enumerate(counts) if not n]:
+            error = EvalError(
+                f"no evaluable queries for {provenance} in region {regions[r]} "
+                f"(require_complete dropped all {len(scored)})"
             )
-            values = [
-                0.0 if ideal == 0.0 else min(1.0, prefix[i] / ideal)
-                for i, ideal in cuts
-            ]
-            scores.append((query_id, values))
-        if not scores:
-            raise EvalError(
-                f"no evaluable queries for {provenance} in region {region} "
-                f"(require_complete dropped all {len(units)})"
-            )
-        rows = [
-            EvalRow(provenance, k, math.fsum(values) / len(values), len(values))
-            for k, values in zip(cutoffs, zip(*(values for _, values in scores)))
+            if not r:  # nothing comes before an error in the first region
+                raise error
+            errors.setdefault(r, error)
+        if errors:  # raised below, and a zero count cannot divide
+            continue
+        # a query left out of a region reads 0.0 there, which fsum ignores
+        means = [
+            list(map(truediv, map(math.fsum, zip(*column)), counts))
+            for column in zip(*(values for _, _, values in scored))
         ]
-        results.append((rows, scores, misses))
+        misses = [0] * len(regions) if require_complete else list(map(sum, unjudged))
+        results.append((provenance, means, counts, misses))
+    if errors:
+        raise errors[min(errors)]
     return results
 
 

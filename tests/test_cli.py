@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import sys
 import threading
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1108,6 +1110,38 @@ class TestReport:
             "row has fewer fields than the header\n"
         )
 
+    def test_blank_rows_are_skipped(self, golden, tmp_path, capsys):
+        lines = read(golden / "expected_rows.csv").splitlines()
+        rows = tmp_path / "rows.csv"
+        write_lines(rows, [lines[0], "", *lines[1:2], "", "", *lines[2:], ""])
+        code, out, _ = run(capsys, "report", "--rows", rows, "--out", "-")
+        assert code == EXIT_OK
+        assert out == read(golden / "expected_report.txt")
+
+    def test_repeated_column_reads_its_last_column(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        write_lines(
+            rows,
+            [
+                ",".join(cli.EVAL_COLUMNS) + ",region",
+                "XX,google,engine,3,0.5,1,CA",
+                "XX,google,ctvm(CA),3,0.75,1,CA",
+            ],
+        )
+        code, out, _ = run(capsys, "report", "--rows", rows, "--out", "-")
+        assert code == EXIT_OK
+        assert out.startswith("[region=CA engine=google]\n")
+        assert "0.7500*" in out
+        # the last region column is the one a row must reach
+        with open(rows, "a", encoding="utf-8") as fh:
+            fh.write("XX,google,engine,5,0.5,1\n")
+        code, out, err = run(capsys, "report", "--rows", rows, "--out", "-")
+        assert code == EXIT_INPUT
+        assert err == (
+            f"error: {rows}: bad eval row on line 4: "
+            "row has fewer fields than the header\n"
+        )
+
 
 # Input flags per subcommand and the golden file each reads
 # (None: the flag has a bundled default).
@@ -1279,6 +1313,72 @@ def test_nul_byte_in_csv_exits_cleanly(command, flag, golden, tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code in (EXIT_OK, EXIT_INPUT)
     assert code == EXIT_OK or err.startswith("error:") and err.count("\n") == 1
+
+
+def dict_reader_eval_rows(lines: list[str], path: str):
+    """report's rows as csv.DictReader reads them: a repeated column
+    name reads its last column, a column past the row's end reads None,
+    and blank lines are skipped. Returns the rows or the error line."""
+    reader = csv.DictReader(lines)
+    try:
+        if reader.fieldnames is None or not set(cli.EVAL_COLUMNS) <= set(
+            reader.fieldnames
+        ):
+            return (
+                f"{path} does not look like eval output "
+                f"(need columns {', '.join(cli.EVAL_COLUMNS)})"
+            )
+        rows = []
+        for record in reader:
+            try:
+                if None in map(record.get, cli.EVAL_COLUMNS):
+                    raise ValueError("row has fewer fields than the header")
+                row = cli.EvalRow(
+                    record["provenance"],
+                    int(record["cutoff"]),
+                    float(record["mean_ndcg"]),
+                    int(record["n_queries"]),
+                )
+                if row.cutoff < 1 or row.n_queries < 1 or not 0 <= row.mean_ndcg <= 1:
+                    raise ValueError(
+                        "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
+                    )
+                rows.append((record["region"], record["engine"], row))
+            except ValueError as exc:
+                return f"{path}: bad eval row on line {reader.line_num}: {exc}"
+    except csv.Error as exc:
+        return f"{path}: bad CSV on line {reader.reader.line_num}: {exc}"
+    return rows or f"no eval rows in {path}"
+
+
+# every column, in any order, with repeats and extras
+EVAL_HEADERS = st.lists(
+    st.sampled_from([*cli.EVAL_COLUMNS, "better_than_engine", ""]), max_size=2
+).map(lambda extra: [*cli.EVAL_COLUMNS, *extra]).flatmap(st.permutations).map(
+    ",".join
+)
+# mostly "1", which fits every column
+EVAL_CELLS = st.sampled_from(["1"] * 12 + ["0.5", "3", "CA", "nan", "-1", ""])
+EVAL_LINES = st.lists(
+    st.just("")
+    | st.lists(EVAL_CELLS, min_size=6, max_size=9).map(",".join)
+    | st.sampled_from(['"a\nb",1', 'x,"y"z', BIG_FIELD]),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EVAL_HEADERS, EVAL_LINES)
+def test_eval_rows_read_as_dict_reader_reads_them(header, lines):
+    text = "\n".join([header, *lines]) + "\n"
+    lines = io.StringIO(text).readlines()
+    expected = dict_reader_eval_rows(lines, "rows.csv")
+    with mock.patch.object(cli, "read_input", lambda path: lines):
+        try:
+            got = cli._read_eval_rows("rows.csv")
+        except cli.InputDataError as exc:
+            got = str(exc)
+    assert got == expected
 
 
 # st.text() never draws a lone surrogate; the "Cs" category does. A

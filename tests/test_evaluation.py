@@ -3,10 +3,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ctvm.errors import ContractViolation, EvalError
 from ctvm.evaluation import (
+    DEFAULT_CONFIG,
     DEFAULT_CUTOFFS,
     VARIANT_LITERAL,
     EvalRow,
@@ -16,6 +17,7 @@ from ctvm.evaluation import (
     format_table,
     mean_ndcg,
     ndcg,
+    ndcg_columns,
 )
 from ctvm.judgments import JudgmentRecord, JudgmentSet, RelevanceLookup, aggregate
 from ctvm.voting import Ranking
@@ -25,6 +27,10 @@ from oracles import naive_dcg, naive_mean, naive_ndcg, ranking_relevances
 NDCG_TOL = 1e-9
 
 LITERAL = NdcgConfig(variant=VARIANT_LITERAL)
+
+# A failing mean_ndcg property reports its first failing example at
+# once: shrinking these nested strategies can take minutes.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 class TestConfig:
@@ -182,6 +188,51 @@ def ranked(ids: list[str], provenance: str) -> Ranking:
     return Ranking(tuple(ids), provenance)
 
 
+def region_rows(
+    groups, lookup, regions, config=DEFAULT_CONFIG, require_complete=False
+):
+    """mean_ndcg's means as EvalRows: for each region, one (rows, misses)
+    pair per group."""
+    results = mean_ndcg(
+        groups, lookup, regions, config, require_complete=require_complete
+    )
+    return [
+        [
+            (
+                [
+                    EvalRow(provenance, k, column[r], counts[r])
+                    for k, column in zip(config.cutoffs, means)
+                ],
+                misses[r],
+            )
+            for provenance, means, counts, misses in results
+        ]
+        for r in range(len(regions))
+    ]
+
+
+def column_scores(
+    groups, lookup, regions, config=DEFAULT_CONFIG, require_complete=False
+):
+    """ndcg_columns' values as each region's scores: for each region, one
+    list per group of (query id, NDCG per cutoff), leaving out the
+    queries that require_complete drops there."""
+    columns = list(
+        ndcg_columns(groups, lookup, regions, config, require_complete=require_complete)
+    )
+    return [
+        [
+            [
+                (query_id, [per_region[r] for per_region in values])
+                for query_id, unjudged, values in scored
+                if not (require_complete and unjudged[r])
+            ]
+            for _, scored in columns
+        ]
+        for r in range(len(regions))
+    ]
+
+
 class TestMeanNdcg:
     CELLS = {
         ("q1", "a", "CA"): 3,
@@ -194,9 +245,10 @@ class TestMeanNdcg:
     def test_single_query(self):
         lookup = lookup_for(self.CELLS)
         units = [("q1", ranked(["a", "b", "c"], "engine"))]
-        [(rows, scores, misses)] = mean_ndcg(
-            [units], lookup, "CA", NdcgConfig(cutoffs=(3,))
+        [[(rows, misses)]] = region_rows(
+            [units], lookup, ["CA"], NdcgConfig(cutoffs=(3,))
         )
+        [[scores]] = column_scores([units], lookup, ["CA"], NdcgConfig(cutoffs=(3,)))
         assert rows == [
             EvalRow(
                 provenance="engine", cutoff=3, mean_ndcg=1.0, n_queries=1
@@ -211,9 +263,10 @@ class TestMeanNdcg:
             ("q1", ranked(["a", "b", "c"], "engine")),
             ("q2", ranked(["d", "e"], "engine")),
         ]
-        [(rows, scores, _)] = mean_ndcg(
-            [units], lookup, "CA", NdcgConfig(cutoffs=(2, 3))
+        [[(rows, _)]] = region_rows(
+            [units], lookup, ["CA"], NdcgConfig(cutoffs=(2, 3))
         )
+        [[scores]] = column_scores([units], lookup, ["CA"], NdcgConfig(cutoffs=(2, 3)))
         q2 = ndcg([2, 3], 2)
         expected_mean = naive_mean([1.0, q2])
         by_cutoff = {row.cutoff: row for row in rows}
@@ -226,8 +279,8 @@ class TestMeanNdcg:
     def test_unjudged_docs_score_zero_by_default(self):
         lookup = lookup_for(self.CELLS)
         units = [("q1", ranked(["a", "zz"], "engine"))]
-        [(rows, _, misses)] = mean_ndcg(
-            [units], lookup, "CA", NdcgConfig(cutoffs=(2,))
+        [[(rows, misses)]] = region_rows(
+            [units], lookup, ["CA"], NdcgConfig(cutoffs=(2,))
         )
         assert rows[0].mean_ndcg == 1.0  # [3, 0] is already ideal
         assert misses == 1
@@ -238,12 +291,15 @@ class TestMeanNdcg:
             ("q1", ranked(["a", "b"], "engine")),
             ("q2", ranked(["d", "zz"], "engine")),
         ]
-        [(rows, scores, misses)] = mean_ndcg(
+        [[(rows, misses)]] = region_rows(
             [units],
             lookup,
-            "CA",
+            ["CA"],
             NdcgConfig(cutoffs=(2,)),
             require_complete=True,
+        )
+        [[scores]] = column_scores(
+            [units], lookup, ["CA"], NdcgConfig(cutoffs=(2,)), require_complete=True
         )
         assert rows[0].n_queries == 1
         assert [query_id for query_id, _ in scores] == ["q1"]
@@ -256,14 +312,14 @@ class TestMeanNdcg:
             mean_ndcg(
                 [units],
                 lookup,
-                "CA",
+                ["CA"],
                 NdcgConfig(cutoffs=(2,)),
                 require_complete=True,
             )
 
     def test_no_units_rejected(self):
         with pytest.raises(EvalError, match="no rankings"):
-            mean_ndcg([[]], lookup_for(self.CELLS), "CA")
+            mean_ndcg([[]], lookup_for(self.CELLS), ["CA"])
 
     def test_mixed_provenance_rejected(self):
         lookup = lookup_for(self.CELLS)
@@ -272,8 +328,9 @@ class TestMeanNdcg:
             ("q2", ranked(["d"], "ctvm(CA)")),
         ]
         with pytest.raises(ContractViolation, match="provenance"):
-            mean_ndcg([units], lookup, "CA")
+            mean_ndcg([units], lookup, ["CA"])
 
+    @settings(phases=NO_SHRINK)
     @given(st.permutations(range(6)))
     def test_unit_order_cannot_move_the_mean(self, order):
         cells = {
@@ -284,11 +341,13 @@ class TestMeanNdcg:
             ("q%d" % i, ranked(["n%d" % i, "x%d" % i], "engine"))
             for i in range(6)
         ]
-        [(baseline_rows, _, _)] = mean_ndcg(
-            [units], lookup, "CA", NdcgConfig(cutoffs=(2,))
+        [[(baseline_rows, _)]] = region_rows(
+            [units], lookup, ["CA"], NdcgConfig(cutoffs=(2,))
         )
         shuffled = [units[i] for i in order]
-        [(rows, _, _)] = mean_ndcg([shuffled], lookup, "CA", NdcgConfig(cutoffs=(2,)))
+        [[(rows, _)]] = region_rows(
+            [shuffled], lookup, ["CA"], NdcgConfig(cutoffs=(2,))
+        )
         # fsum makes this exact equality, not approx
         assert rows[0].mean_ndcg == baseline_rows[0].mean_ndcg
 
@@ -380,7 +439,7 @@ class TestMeanNdcgExactness:
     """mean_ndcg shares gains, discounts and ideal DCGs across one
     call's groups; every score must still be the very float ndcg gives."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
     @given(
         CELLS,
         UNITS,
@@ -397,10 +456,13 @@ class TestMeanNdcgExactness:
         lookup = lookup_of(cells)
         if not expected:
             with pytest.raises(EvalError, match="require_complete"):
-                mean_ndcg([units], lookup, region, config, require_complete=True)
+                mean_ndcg([units], lookup, [region], config, require_complete=True)
             return
-        [(rows, scores, misses)] = mean_ndcg(
-            [units], lookup, region, config, require_complete=require_complete
+        [[(rows, misses)]] = region_rows(
+            [units], lookup, [region], config, require_complete=require_complete
+        )
+        [[scores]] = column_scores(
+            [units], lookup, [region], config, require_complete=require_complete
         )
         assert scores == expected
         assert misses == expected_misses
@@ -424,7 +486,8 @@ class TestMeanNdcgExactness:
             ("q1", ranked(["c", "a", "x", "b"], "engine")),
         ]
         config = NdcgConfig(cutoffs=(1, 2))
-        [(rows, scores, misses)] = mean_ndcg([units], lookup_of(cells), "CA", config)
+        [[(rows, misses)]] = region_rows([units], lookup_of(cells), ["CA"], config)
+        [[scores]] = column_scores([units], lookup_of(cells), ["CA"], config)
         expected = [
             ("q1", [ndcg(relevances, k, config) for k in config.cutoffs])
             for relevances in ([0.0, 3.0, 1.0, 2.0], [1.0, 2.0], [2.0, 3.0, 0.0, 1.0])
@@ -433,13 +496,13 @@ class TestMeanNdcgExactness:
         assert misses == 2  # x, in the first and third rankings
         assert [row.n_queries for row in rows] == [3, 3]
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
     @given(CELLS, UNITS, st.sampled_from(("CA", "NY")))
     def test_variants_do_not_share_state(self, cells, units, region):
         shared = lookup_of(cells)
         for config in (NdcgConfig(), LITERAL, NdcgConfig()):
-            fresh = mean_ndcg([units], lookup_of(cells), region, config)
-            assert mean_ndcg([units], shared, region, config) == fresh
+            fresh = mean_ndcg([units], lookup_of(cells), [region], config)
+            assert mean_ndcg([units], shared, [region], config) == fresh
 
 
 class TestMeanNdcgGroups:
@@ -447,7 +510,7 @@ class TestMeanNdcgGroups:
     result, misses included, and errors are those of the group scored
     alone."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
     @given(
         CELLS,
         st.lists(UNITS, min_size=1, max_size=4),
@@ -464,7 +527,7 @@ class TestMeanNdcgGroups:
                 alone += mean_ndcg(
                     [units],
                     lookup_of(cells),
-                    region,
+                    [region],
                     config,
                     require_complete=require_complete,
                 )
@@ -474,13 +537,13 @@ class TestMeanNdcgGroups:
         lookup = lookup_of(cells)
         if error is None:
             results = mean_ndcg(
-                groups, lookup, region, config, require_complete=require_complete
+                groups, lookup, [region], config, require_complete=require_complete
             )
             assert results == alone
         else:
             with pytest.raises(EvalError) as excinfo:
                 mean_ndcg(
-                    groups, lookup, region, config, require_complete=require_complete
+                    groups, lookup, [region], config, require_complete=require_complete
                 )
             assert str(excinfo.value) == error
 
@@ -498,11 +561,116 @@ class TestMeanNdcgGroups:
     def test_bad_group_in_the_middle_raises_as_alone(self, bad, error):
         cells = {("q1", "a", "CA"): 3, ("q2", "d", "CA"): 2}
         with pytest.raises(error) as alone:
-            mean_ndcg([bad], lookup_of(cells), "CA")
+            mean_ndcg([bad], lookup_of(cells), ["CA"])
         good = [("q1", ranked(["a", "zz"], "engine"))]
         with pytest.raises(error) as excinfo:
-            mean_ndcg([good, bad, good], lookup_of(cells), "CA")
+            mean_ndcg([good, bad, good], lookup_of(cells), ["CA"])
         assert str(excinfo.value) == str(alone.value)
+
+
+# TX is in no cell: its judges rated nothing
+REGION_LISTS = (
+    st.lists(st.sampled_from(("CA", "NY")), unique=True, max_size=2)
+    .map(lambda regions: regions + ["TX"])
+    .flatmap(st.permutations)
+)
+
+
+class TestMeanNdcgRegions:
+    """One call scores every region; each region's values, misses, rows
+    and errors are those of ndcg run per unit under that region alone."""
+
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+    @given(
+        CELLS,
+        st.lists(UNITS, min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=8),
+        REGION_LISTS,
+        ANY_CONFIG,
+        st.booleans(),
+    )
+    def test_each_region_equals_the_reference(
+        self, cells, groups, empty_at, regions, config, require_complete
+    ):
+        if empty_at < len(groups):
+            groups.insert(empty_at, [])
+        expected, error = [], None
+        for region in regions:
+            expected.append([])
+            for units in groups:
+                if not units:
+                    error = f"no rankings to evaluate for region {region}"
+                    break
+                scores, misses = reference_scores(
+                    units, cells, region, config, require_complete
+                )
+                if not scores:
+                    error = (
+                        f"no evaluable queries for ctvm(CA) in region {region} "
+                        f"(require_complete dropped all {len(units)})"
+                    )
+                    break
+                rows = [
+                    EvalRow("ctvm(CA)", k, math.fsum(values) / len(values), len(values))
+                    for k, values in zip(
+                        config.cutoffs, zip(*(values for _, values in scores))
+                    )
+                ]
+                expected[-1].append((rows, scores, misses))
+            if error is not None:
+                break
+        lookup = lookup_of(cells)
+        if error is not None:
+            with pytest.raises(EvalError) as excinfo:
+                mean_ndcg(
+                    groups, lookup, regions, config, require_complete=require_complete
+                )
+            assert str(excinfo.value) == error
+            return
+        results = region_rows(groups, lookup, regions, config, require_complete)
+        scores = column_scores(groups, lookup, regions, config, require_complete)
+        assert len(results) == len(scores) == len(regions)
+        for want, got, got_scores in zip(expected, results, scores):
+            assert got == [(rows, misses) for rows, _, misses in want]
+            assert got_scores == [scores for _, scores, _ in want]
+        # a query left out of a region reads 0.0 there
+        for _, scored in ndcg_columns(
+            groups, lookup, regions, config, require_complete=require_complete
+        ):
+            for _, unjudged, values in scored:
+                for r, missed in enumerate(unjudged):
+                    if require_complete and missed:
+                        assert [column[r] for column in values] == [0.0] * len(values)
+
+    def test_first_error_in_region_order_wins(self):
+        cells = {("q1", "a", "CA"): 3.0, ("q1", "b", "CA"): 1.0, ("q1", "a", "NY"): 2.0}
+        groups = [
+            [("q1", ranked(["a"], "engine"))],  # TX judged nothing
+            [("q1", ranked(["a", "b"], "ctvm(CA)"))],  # and NY not b
+        ]
+        with pytest.raises(EvalError) as excinfo:
+            mean_ndcg(
+                groups, lookup_of(cells), ["CA", "NY", "TX"], require_complete=True
+            )
+        assert str(excinfo.value) == (
+            "no evaluable queries for ctvm(CA) in region NY "
+            "(require_complete dropped all 1)"
+        )
+        # the first region's error comes before a later group's
+        with pytest.raises(EvalError) as excinfo:
+            mean_ndcg([*groups, []], lookup_of(cells), ["TX"], require_complete=True)
+        assert str(excinfo.value) == (
+            "no evaluable queries for engine in region TX "
+            "(require_complete dropped all 1)"
+        )
+
+    def test_a_bare_string_is_not_a_region_list(self):
+        lookup = lookup_of({("q1", "a", "CA"): 3.0, ("q1", "a", "C"): 1.0})
+        units = [("q1", ranked(["a"], "engine"))]
+        with pytest.raises(ContractViolation, match="list of region codes"):
+            mean_ndcg([units], lookup, "CA")
+        with pytest.raises(ContractViolation, match="list of region codes"):
+            next(ndcg_columns([units], lookup, "CA"))
 
 
 def row(provenance, cutoff, value, marked=False):

@@ -67,4 +67,4 @@ def test_traced_pipeline_counts_every_layer(data_dir, tmp_path, capsys):
     assert missing == []
     idle = {name for name in tracer.names if metrics[f"{name}.calls"] == 0}
     assert idle == {"evaluation.ndcg", "judgments.lookup"}
-    assert metrics["evaluation.mean_ndcg.calls"] == 3
+    assert metrics["evaluation.mean_ndcg.calls"] == 1
