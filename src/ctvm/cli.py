@@ -23,9 +23,9 @@ import os
 import shutil
 import sys
 from datetime import date
+from types import SimpleNamespace
 
 from .corpus import (
-    Tally,
     _RANKING_FIELDS,
     _parse_record,
     _record_lines,
@@ -150,10 +150,18 @@ def _parse_region_list(value: str) -> list[str]:
 
 
 def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
-    return number
+    with contextlib.suppress(ValueError):
+        number = int(value)
+        if number >= 1:
+            return number
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+
+
+def _parse_date(value: str) -> date:
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {value!r}")
 
 
 def _parse_cutoffs(value: str) -> tuple[int, ...]:
@@ -166,7 +174,7 @@ def _parse_cutoffs(value: str) -> tuple[int, ...]:
     return tuple(sorted(set(cutoffs)))
 
 
-def _load_tweets_file(path: str, args, table=None) -> tuple[list, Tally]:
+def _load_tweets_file(path: str, args, table=None) -> tuple[list, SimpleNamespace]:
     if table is None:
         table = load_region_table(args.region_table)
     return ingest_tweets(
@@ -189,7 +197,7 @@ def cmd_ingest(args) -> int:
                 "region": tweet.region,
             }
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
-    print(json.dumps({"ingest": report.as_dict()}), file=sys.stderr)
+    print(json.dumps({"ingest": vars(report)}), file=sys.stderr)
     return EXIT_OK
 
 
@@ -323,9 +331,9 @@ def cmd_eval(args) -> int:
         )
     if agg_report.bad_labels:
         _note(f"{agg_report.bad_labels} judgment records had unknown labels")
-    lookup = RelevanceLookup(judgment_sets, round_scores=args.round_relevance)
-    if not len(lookup):
+    if not judgment_sets:
         raise InputDataError(f"no usable judgments in {args.judgments}")
+    lookup = RelevanceLookup(judgment_sets, round_scores=args.round_relevance)
     regions = args.regions if args.regions else list(lookup.regions())
     config = NdcgConfig(cutoffs=args.cutoffs, variant=args.ndcg)
 
@@ -494,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rerank.add_argument(
         "--date",
-        type=date.fromisoformat,
+        type=_parse_date,
         default=None,
         metavar="YYYY-MM-DD",
         help="only rerank results retrieved on this date",

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple
 
 from .errors import InputDataError
 from .geofilter import RegionTable
@@ -40,6 +42,9 @@ def format_timestamp(value: datetime) -> str:
 
 @dataclass(frozen=True)
 class Query:
+    """A query and its lowercase mention variants. load_queries gives
+    each variant in NFC, the form matches compares tweet text in."""
+
     id: str
     variants: tuple[str, ...]
 
@@ -60,6 +65,10 @@ class Query:
         return frozenset(out)
 
     def matches(self, text: str) -> bool:
+        """Whether text holds a variant, compared as tokenize compares
+        them: NFC, then lowercase (an ASCII text is already NFC)."""
+        if not text.isascii():
+            text = unicodedata.normalize("NFC", text)
         lowered = text.lower()
         return any(v in lowered for v in self.variants)
 
@@ -112,8 +121,7 @@ class NewsDoc:
             raise ValueError(f"news {self.id} has an empty title")
 
 
-@dataclass(frozen=True)
-class CorpusSlice:
+class CorpusSlice(NamedTuple):
     """One (query, region, day, engine) cell of the corpus.
 
     slice_corpus builds it: news is the engine's full contiguous top-k
@@ -159,17 +167,6 @@ def slice_corpus(
     ]
     picked.sort(key=lambda t: (t.timestamp, t.id))
     return CorpusSlice(query, region, day, engine, tuple(picked), tuple(docs))
-
-
-class Tally:
-    """Named int counters, each starting at 0, kept in the given order."""
-
-    def __init__(self, *names: str) -> None:
-        for name in names:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
 
 
 def _record_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
@@ -227,7 +224,7 @@ def ingest_tweets(
     *,
     loose_abbrev: bool = False,
     max_text_len: int = 280,
-) -> tuple[list[Tweet], Tally]:
+) -> tuple[list[Tweet], SimpleNamespace]:
     """Parse tweet JSONL and attach a region to each record.
 
     Malformed lines and duplicate ids are dropped and counted. Tweets
@@ -236,7 +233,7 @@ def ingest_tweets(
     Records that already carry a "region" key (this function's own
     output does) keep it untouched, which makes ingestion idempotent.
     """
-    report = Tally("accepted", "malformed", "duplicates", "region_unresolved")
+    report = SimpleNamespace(accepted=0, malformed=0, duplicates=0, region_unresolved=0)
     tweets: list[Tweet] = []
     seen: set[str] = set()
     for _, raw in _record_lines(lines):
@@ -283,8 +280,8 @@ def ingest_tweets(
     return tweets, report
 
 
-def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], Tally]:
-    report = Tally("accepted", "malformed", "duplicates")
+def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], SimpleNamespace]:
+    report = SimpleNamespace(accepted=0, malformed=0, duplicates=0)
     docs: list[NewsDoc] = []
     seen: set[str] = set()
     for _, raw in _record_lines(lines):
@@ -326,7 +323,9 @@ def load_queries(lines: Iterable[str]) -> list[Query]:
                 raise ValueError("variants must be a list of strings")
             query = Query(
                 id=record["id"],
-                variants=tuple(v.lower().strip() for v in variants),
+                variants=tuple(
+                    unicodedata.normalize("NFC", v).lower().strip() for v in variants
+                ),
             )
         except ValueError as exc:
             raise InputDataError(f"bad query record on line {lineno}: {exc}")

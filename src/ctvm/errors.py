@@ -5,7 +5,9 @@ CLI) and internal contract violations such as mismatched parallel
 structures (exit code 2).
 """
 
-from importlib import resources
+import os
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class CtvmError(Exception):
@@ -29,19 +31,14 @@ class ContractViolation(CtvmError):
 
 
 def read_input(path: str | None, bundled: str | None = None) -> list[str]:
-    """Lines of a UTF-8 file, or of the bundled ctvm/data file named by
-    bundled when path is None. A leading byte order mark is dropped, so
-    it cannot spoil the first record. Lines end only at \\n, \\r or
-    \\r\\n (not at every break str.splitlines() knows), so a raw U+2028
-    or U+0085 inside a JSON string stays in its record."""
+    """Lines of a UTF-8 file, or of the file named bundled in the
+    package's data directory when path is None. A leading byte order
+    mark is dropped, so it cannot spoil the first record. Lines end only
+    at \\n, \\r or \\r\\n (not at every break str.splitlines() knows), so
+    a raw U+2028 or U+0085 inside a JSON string stays in its record."""
+    source = os.path.join(_DATA, bundled) if path is None else path
     try:
-        if path is None:
-            source = resources.files("ctvm.data").joinpath(bundled).open(
-                encoding="utf-8-sig"
-            )
-        else:
-            source = open(path, encoding="utf-8-sig")
-        with source as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read {path or bundled}: {exc}") from exc

@@ -97,8 +97,8 @@ def ndcg(relevances: Sequence[float], k: int, config: NdcgConfig = DEFAULT_CONFI
 
 
 class EvalRow(NamedTuple):
-    """One mean NDCG: a named tuple, because eval builds one per
-    (region, group, cutoff) and report marks each again."""
+    """One mean NDCG of the eval CSV: a named tuple, because report
+    builds one per row it reads and compare marks each again."""
 
     provenance: str
     cutoff: int

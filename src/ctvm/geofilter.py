@@ -40,14 +40,8 @@ class RegionTable:
         object.__setattr__(self, "_codes", frozenset(seen))
         object.__setattr__(self, "_lowered_names", tuple(lowered))
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(code for code, _ in self.entries)
-
     def __contains__(self, code: object) -> bool:
         return code in self._codes
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def resolve(self, location: str, loose_abbrev: bool = False) -> str | None:
         """Region code for a location string, or None.

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
-from .corpus import Tally, _JUDGMENT_FIELDS, _parse_record, _record_lines
+from .corpus import _JUDGMENT_FIELDS, _parse_record, _record_lines
 
 
 class Label(IntEnum):
@@ -54,9 +55,6 @@ class JudgmentRecord(NamedTuple):
     judge_id: str
     label: object  # raw value; parsed during aggregation
 
-    def key(self) -> tuple[str, str, str]:
-        return (self.query_id, self.news_id, self.region)
-
 
 class JudgmentSet(NamedTuple):
     """Aggregated cell: who said what, and the mean relevance."""
@@ -66,9 +64,6 @@ class JudgmentSet(NamedTuple):
     region: str
     labels: tuple[tuple[str, Label], ...]
     relevance: float
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.query_id, self.news_id, self.region)
 
 
 def load_judgment_records(
@@ -102,7 +97,7 @@ def _parse_or_none(value: object) -> Label | None:
 def aggregate(
     records: Iterable[JudgmentRecord],
     min_judges: int = 3,
-) -> tuple[list[JudgmentSet], Tally]:
+) -> tuple[list[JudgmentSet], SimpleNamespace]:
     """Mean score per cell, dropping cells with too few distinct judges.
 
     Records with unparseable labels are skipped and counted; a judge's
@@ -110,12 +105,12 @@ def aggregate(
     """
     if min_judges < 1:
         raise ValueError("min_judges must be at least 1")
-    report = Tally(
-        "records_in",
-        "bad_labels",
-        "duplicates_superseded",
-        "cells_kept",
-        "cells_dropped",
+    report = SimpleNamespace(
+        records_in=0,
+        bad_labels=0,
+        duplicates_superseded=0,
+        cells_kept=0,
+        cells_dropped=0,
     )
     # raw labels take few distinct values, so each (type, value) is
     # parsed once; None marks one that does not parse. The type keeps 1,
@@ -171,15 +166,10 @@ class RelevanceLookup:
         round_scores: bool = False,
     ) -> None:
         self._index: dict[str, dict[str, dict[str, float]]] = {}
-        self._cells = 0
         for js in judgment_sets:
             value = round_half_up(js.relevance) if round_scores else js.relevance
             news = self._index.setdefault(js.region, {}).setdefault(js.query_id, {})
-            self._cells += js.news_id not in news
             news[js.news_id] = value
-
-    def __len__(self) -> int:
-        return self._cells
 
     def contains(self, query_id: str, news_id: str, region: str) -> bool:
         return news_id in self.region_cells(region).get(query_id, {})

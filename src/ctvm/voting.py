@@ -88,9 +88,6 @@ class Ranking:
                 raise ValueError(f"duplicate news id in ranking: {news_id}")
             seen.add(news_id)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 PROVENANCE_ENGINE = "engine"
 

@@ -52,13 +52,11 @@ class TestIngest:
         )
         assert code == EXIT_OK
         assert read(out) == read(golden / "expected_enriched.jsonl")
-        report = json.loads(err)["ingest"]
-        assert report == {
-            "accepted": 7,
-            "malformed": 0,
-            "duplicates": 0,
-            "region_unresolved": 0,
-        }
+        # one JSON line, its counters in this order
+        assert err == (
+            '{"ingest": {"accepted": 7, "malformed": 0, "duplicates": 0, '
+            '"region_unresolved": 0}}\n'
+        )
 
     def test_idempotent_on_own_output(self, golden, tmp_path, capsys):
         out = tmp_path / "twice.jsonl"
@@ -1216,11 +1214,24 @@ class TestUsage:
             ("eval", "--min-judges", "-1"),
             ("ingest", "--max-text-len", "0"),
             ("rerank", "--max-text-len", "-5"),
+            ("eval", "--min-judges", "1e3"),
         ],
     )
     def test_non_positive_counts_exit_two(
         self, command, flag, value, golden, capsys
     ):
+        err = self.usage_error(command, flag, value, golden, capsys)
+        assert f"argument {flag}: must be an integer >= 1, got {value!r}\n" in err
+
+    @pytest.mark.parametrize("value", ["2011-13-01", "12/12/2011", ""])
+    def test_bad_date_exits_two(self, value, golden, capsys):
+        err = self.usage_error("rerank", "--date", value, golden, capsys)
+        assert f"argument --date: not a YYYY-MM-DD date: {value!r}\n" in err
+
+    @staticmethod
+    def usage_error(command, flag, value, golden, capsys) -> str:
+        """The stderr of a run given one bad option value, which must
+        exit 2 with argparse's usage line."""
         argv = [command, "--out", "-", flag, value]
         for name, filename in GOLDEN_ARGS[command].items():
             if filename is not None:
@@ -1229,7 +1240,8 @@ class TestUsage:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and f"{flag}: must be >= 1" in err
+        assert err.startswith(f"usage: ctvm {command} ")
+        return err
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from ctvm.corpus import (
     slice_corpus,
 )
 from ctvm.errors import InputDataError
+from ctvm.textproc import tokenize
 
 UTC = timezone.utc
 DAY = date(2011, 12, 12)
@@ -144,7 +145,7 @@ class TestIngestTweets:
             ],
             states,
         )
-        assert report.as_dict() == {
+        assert vars(report) == {
             "accepted": 1,
             "malformed": 0,
             "duplicates": 0,
@@ -334,7 +335,7 @@ class TestLoadNews:
         ]
         docs, report = load_news(lines)
         assert [d.id for d in docs] == ["n1"]
-        assert report.as_dict() == {
+        assert vars(report) == {
             "accepted": 1,
             "malformed": 12,
             "duplicates": 1,
@@ -405,6 +406,17 @@ class TestSliceCorpus:
         ]
         sliced = slice_corpus(tweets, [make_news()], QUERY, "CA", DAY, "google")
         assert [t.id for t in sliced.tweets] == ["t1"]
+
+    @pytest.mark.parametrize("variant", ["caf\u00e9", "cafe\u0301", "CAFE\u0301"])
+    def test_mention_matches_in_any_normal_form(self, variant):
+        # é precomposed (NFC) and as e + combining acute (NFD) tokenize
+        # alike, so a query mentioned either way must pick both
+        texts = ["caf\u00e9 opens", "cafe\u0301 opens", "CAFE\u0301 OPENS"]
+        assert len({tuple(tokenize(text)) for text in texts}) == 1
+        (query,) = load_queries([json.dumps({"id": "cafe", "variants": [variant]})])
+        tweets = [make_tweet(f"t{i}", text=text) for i, text in enumerate(texts)]
+        sliced = slice_corpus(tweets, [], query, "CA", DAY, "google")
+        assert [t.id for t in sliced.tweets] == ["t0", "t1", "t2"]
 
     def test_day_boundary_uses_utc(self):
         # 01:00+02:00 is 23:00 UTC the previous day

@@ -31,15 +31,16 @@ class TestTableValidation:
 
 class TestBundledTable:
     def test_fifty_states(self, states):
-        assert len(states) == 50
-        assert states.codes()[:3] == ("CA", "NY", "TX")
+        codes = [code for code, _ in states.entries]
+        assert len(codes) == 50
+        assert codes[:3] == ["CA", "NY", "TX"]
 
     def test_west_virginia_precedes_virginia(self, states):
-        codes = states.codes()
+        codes = [code for code, _ in states.entries]
         assert codes.index("WV") < codes.index("VA")
 
     def test_arkansas_precedes_kansas(self, states):
-        codes = states.codes()
+        codes = [code for code, _ in states.entries]
         assert codes.index("AR") < codes.index("KS")
 
     def test_contains(self, states):
@@ -52,7 +53,7 @@ class TestLoadTable:
         path = tmp_path / "regions.csv"
         path.write_text("# hdr\nBC,British Columbia\nON,Ontario\n")
         table = load_region_table(str(path))
-        assert table.codes() == ("BC", "ON")
+        assert [code for code, _ in table.entries] == ["BC", "ON"]
 
     def test_missing_file(self):
         with pytest.raises(InputDataError):

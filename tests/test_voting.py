@@ -158,7 +158,7 @@ class TestRanking:
     def test_ids(self):
         ranking = Ranking(("b", "a"), "engine")
         assert ranking.ids == ("b", "a")
-        assert len(ranking) == 2
+        assert len(ranking.ids) == 2
 
     def test_provenance_labels(self):
         assert provenance_for_region("CA") == "ctvm(CA)"
