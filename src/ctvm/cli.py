@@ -26,7 +26,6 @@ from datetime import date
 from types import SimpleNamespace
 
 from .corpus import (
-    _RANKING_FIELDS,
     _parse_record,
     _record_lines,
     format_timestamp,
@@ -46,11 +45,7 @@ from .evaluation import (
     mean_ndcg,
 )
 from .geofilter import load_region_table
-from .judgments import (
-    RelevanceLookup,
-    aggregate,
-    load_judgment_records,
-)
+from .judgments import aggregate, load_judgment_records
 from .similarity import MODE_COMMON_SET, SIM_MODES
 from .textproc import Pipeline, load_stopwords
 from .voting import (
@@ -272,6 +267,11 @@ def cmd_rerank(args) -> int:
     return EXIT_OK
 
 
+_RANKING_FIELDS = dict(
+    query_id=str, engine=str, date=str, provenance=str, news_id=str, position=int
+)
+
+
 def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, Ranking]]]]:
     """Group ranking rows into ((engine, provenance), [(query id, Ranking)])
     pairs, one unit per (query, date), in eval's output order: by engine,
@@ -323,7 +323,9 @@ def cmd_eval(args) -> int:
     records, malformed = load_judgment_records(read_input(args.judgments))
     if malformed:
         _note(f"{malformed} malformed judgment lines dropped")
-    judgment_sets, agg_report = aggregate(records, min_judges=args.min_judges)
+    lookup, agg_report = aggregate(
+        records, min_judges=args.min_judges, round_scores=args.round_relevance
+    )
     if agg_report.cells_dropped:
         _note(
             f"{agg_report.cells_dropped} judgment cells dropped "
@@ -331,9 +333,8 @@ def cmd_eval(args) -> int:
         )
     if agg_report.bad_labels:
         _note(f"{agg_report.bad_labels} judgment records had unknown labels")
-    if not judgment_sets:
+    if not agg_report.cells_kept:
         raise InputDataError(f"no usable judgments in {args.judgments}")
-    lookup = RelevanceLookup(judgment_sets, round_scores=args.round_relevance)
     regions = args.regions if args.regions else list(lookup.regions())
     config = NdcgConfig(cutoffs=args.cutoffs, variant=args.ndcg)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import unicodedata
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from types import SimpleNamespace
@@ -19,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InputDataError
 from .geofilter import RegionTable
-from .textproc import tokenize
+from .textproc import lower_nfc, tokenize
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -42,8 +41,8 @@ def format_timestamp(value: datetime) -> str:
 
 @dataclass(frozen=True)
 class Query:
-    """A query and its lowercase mention variants. load_queries gives
-    each variant in NFC, the form matches compares tweet text in."""
+    """A query and its mention variants, each lowercase in NFC
+    (lower_nfc), the form matches compares tweet text in."""
 
     id: str
     variants: tuple[str, ...]
@@ -54,8 +53,10 @@ class Query:
         if not self.variants:
             raise ValueError(f"query {self.id} has no variants")
         for v in self.variants:
-            if not v or v != v.lower():
-                raise ValueError(f"query variant must be non-empty lowercase: {v!r}")
+            if not v or v != lower_nfc(v):
+                raise ValueError(
+                    f"query variant must be non-empty lowercase NFC: {v!r}"
+                )
 
     def terms(self) -> frozenset[str]:
         """Lowercase tokens across all variants, for vector exclusion."""
@@ -66,10 +67,8 @@ class Query:
 
     def matches(self, text: str) -> bool:
         """Whether text holds a variant, compared as tokenize compares
-        them: NFC, then lowercase (an ASCII text is already NFC)."""
-        if not text.isascii():
-            text = unicodedata.normalize("NFC", text)
-        lowered = text.lower()
+        them, in lower_nfc form."""
+        lowered = lower_nfc(text)
         return any(v in lowered for v in self.variants)
 
 
@@ -207,15 +206,20 @@ def _parse_record(raw: str, fields: dict[str, type]) -> dict:
     return record
 
 
+def _optional_str(record: dict, name: str) -> str:
+    """An optional field's text, "" when it is absent or null; any other
+    value that is not a string (0, false, []) is malformed."""
+    value = record.get(name)
+    if value is not None and type(value) is not str:
+        raise ValueError(f"{name} must be a string or null")
+    return value or ""
+
+
 _TWEET_FIELDS = dict(id=str, text=str, timestamp=str)
 _NEWS_FIELDS = dict(
     id=str, query_id=str, engine=str, title=str, retrieved_date=str, original_rank=int
 )
 _QUERY_FIELDS = dict(id=str, variants=list)
-_JUDGMENT_FIELDS = dict(query_id=str, news_id=str, region=str, judge_id=str)
-_RANKING_FIELDS = dict(
-    query_id=str, engine=str, date=str, provenance=str, news_id=str, position=int
-)
 
 
 def ingest_tweets(
@@ -246,9 +250,7 @@ def ingest_tweets(
             if len(text) > max_text_len:
                 raise ValueError("text too long")
             timestamp = parse_timestamp(record["timestamp"])
-            location = record.get("user_location") or ""
-            if not isinstance(location, str):
-                raise ValueError("bad user_location")
+            location = _optional_str(record, "user_location")
             preset = record.get("region")
             if preset is not None and (
                 not isinstance(preset, str) or preset not in regions
@@ -287,9 +289,7 @@ def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], SimpleNamespace]:
     for _, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _NEWS_FIELDS)
-            snippet = record.get("snippet") or ""
-            if not isinstance(snippet, str):
-                raise ValueError("bad snippet")
+            snippet = _optional_str(record, "snippet")
             doc = NewsDoc(
                 id=record["id"],
                 query_id=record["query_id"],
@@ -323,9 +323,7 @@ def load_queries(lines: Iterable[str]) -> list[Query]:
                 raise ValueError("variants must be a list of strings")
             query = Query(
                 id=record["id"],
-                variants=tuple(
-                    unicodedata.normalize("NFC", v).lower().strip() for v in variants
-                ),
+                variants=tuple(lower_nfc(v).strip() for v in variants),
             )
         except ValueError as exc:
             raise InputDataError(f"bad query record on line {lineno}: {exc}")

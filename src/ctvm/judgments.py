@@ -13,7 +13,9 @@ from enum import IntEnum
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
-from .corpus import _JUDGMENT_FIELDS, _parse_record, _record_lines
+from .corpus import _parse_record, _record_lines
+
+_JUDGMENT_FIELDS = dict(query_id=str, news_id=str, region=str, judge_id=str)
 
 
 class Label(IntEnum):
@@ -56,16 +58,6 @@ class JudgmentRecord(NamedTuple):
     label: object  # raw value; parsed during aggregation
 
 
-class JudgmentSet(NamedTuple):
-    """Aggregated cell: who said what, and the mean relevance."""
-
-    query_id: str
-    news_id: str
-    region: str
-    labels: tuple[tuple[str, Label], ...]
-    relevance: float
-
-
 def load_judgment_records(
     lines: Iterable[str],
 ) -> tuple[list[JudgmentRecord], int]:
@@ -97,8 +89,11 @@ def _parse_or_none(value: object) -> Label | None:
 def aggregate(
     records: Iterable[JudgmentRecord],
     min_judges: int = 3,
-) -> tuple[list[JudgmentSet], SimpleNamespace]:
-    """Mean score per cell, dropping cells with too few distinct judges.
+    *,
+    round_scores: bool = False,
+) -> tuple[RelevanceLookup, SimpleNamespace]:
+    """Mean score per cell, dropping cells with too few distinct judges,
+    indexed for lookup; with round_scores each mean is rounded half up.
 
     Records with unparseable labels are skipped and counted; a judge's
     repeat rating of the same cell supersedes the earlier one.
@@ -134,16 +129,16 @@ def aggregate(
         if judge_id in judges:
             report.duplicates_superseded += 1
         judges[judge_id] = label
-    sets: list[JudgmentSet] = []
-    for key, judges in cells.items():
+    index: dict[str, dict[str, dict[str, float]]] = {}
+    for (query_id, news_id, region), judges in cells.items():
         if len(judges) < min_judges:
             report.cells_dropped += 1
             continue
         report.cells_kept += 1
-        labels = tuple(judges.items())
-        mean = sum(int(l) for _, l in labels) / len(labels)
-        sets.append(JudgmentSet(*key, labels, mean))
-    return sets, report
+        mean = sum(judges.values()) / len(judges)
+        news = index.setdefault(region, {}).setdefault(query_id, {})
+        news[news_id] = round_half_up(mean) if round_scores else mean
+    return RelevanceLookup(index), report
 
 
 def round_half_up(value: float) -> float:
@@ -155,21 +150,12 @@ class RelevanceLookup:
     """Relevance by (query, news, region).
 
     A missing cell scores 0.0: unjudged means not known to be relevant.
-    Cells are indexed once, as region -> query -> news -> relevance, so
+    aggregate builds the index, region -> query -> news -> relevance, so
     a caller scoring one region can take that region's cells whole.
     """
 
-    def __init__(
-        self,
-        judgment_sets: Iterable[JudgmentSet],
-        *,
-        round_scores: bool = False,
-    ) -> None:
-        self._index: dict[str, dict[str, dict[str, float]]] = {}
-        for js in judgment_sets:
-            value = round_half_up(js.relevance) if round_scores else js.relevance
-            news = self._index.setdefault(js.region, {}).setdefault(js.query_id, {})
-            news[js.news_id] = value
+    def __init__(self, index: dict[str, dict[str, dict[str, float]]]) -> None:
+        self._index = index
 
     def contains(self, query_id: str, news_id: str, region: str) -> bool:
         return news_id in self.region_cells(region).get(query_id, {})

@@ -25,10 +25,19 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 TermVector = dict[str, int]
 
 
+def lower_nfc(text: str) -> str:
+    """Text lowercased in NFC, the one form text is compared in. NFC
+    comes again after lowering, which can leave a letter and a mark NFC
+    would compose: "J" + U+030C lowers to "j" + U+030C, which is U+01F0.
+    ASCII text is already NFC, so it is only lowercased."""
+    if text.isascii():
+        return text.lower()
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).lower())
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric tokens in order of appearance."""
-    normalized = unicodedata.normalize("NFC", text).lower()
-    normalized = _URL_RE.sub(" ", normalized)
+    normalized = _URL_RE.sub(" ", lower_nfc(text))
     return _TOKEN_RE.findall(normalized)
 
 

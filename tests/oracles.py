@@ -193,9 +193,8 @@ def naive_mean(values: list[float]) -> float:
 def naive_aggregate(records, min_judges: int):
     """aggregate's (cells, counts) from the contract: every record's
     label goes through parse_label, which is shared with the package as
-    the definition of a label; cells are [(key, labels, relevance)] in
-    first-seen key order, each judge's latest label kept in the order
-    the judge first rated the cell."""
+    the definition of a label; cells maps each kept (query, news,
+    region) key to the mean of its judges' latest labels."""
     counts = dict.fromkeys(
         ("records_in", "bad_labels", "duplicates_superseded", "cells_kept", "cells_dropped"),
         0,
@@ -220,15 +219,26 @@ def naive_aggregate(records, min_judges: int):
                 break
         else:
             ratings[key].append([record.judge_id, label])
-    cells = []
+    cells = {}
     for key in keys:
-        labels = tuple((judge, label) for judge, label in ratings[key])
+        labels = [label for _, label in ratings[key]]
         if len(labels) < min_judges:
             counts["cells_dropped"] += 1
             continue
         counts["cells_kept"] += 1
-        cells.append((key, labels, sum(int(label) for _, label in labels) / len(labels)))
+        cells[key] = sum(int(label) for label in labels) / len(labels)
     return cells, counts
+
+
+def relevance_cells(lookup) -> dict[tuple[str, str, str], float]:
+    """Every judged cell of a RelevanceLookup, as (query, news, region)
+    -> relevance, read through its public methods."""
+    return {
+        (query_id, news_id, region): relevance
+        for region in lookup.regions()
+        for query_id, news in lookup.region_cells(region).items()
+        for news_id, relevance in news.items()
+    }
 
 
 # naive_stem: the Porter stemmer as it stood before ctvm.porter indexed

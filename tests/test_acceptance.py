@@ -24,7 +24,7 @@ from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE
 from ctvm.textproc import Pipeline, load_stopwords
 from ctvm.voting import rerank, vote
 
-from oracles import naive_resolve, naive_rerank, naive_votes
+from oracles import naive_resolve, naive_rerank, naive_votes, relevance_cells
 
 UTC = timezone.utc
 DAY = date(2011, 12, 12)
@@ -265,7 +265,7 @@ def test_07_judgment_rules_on_mixed_fixture(data_dir):
     with open(data_dir / "judgments_20.jsonl", encoding="utf-8") as fh:
         records, malformed = load_judgment_records(fh)
     assert malformed == 0
-    sets, agg_report = aggregate(records, min_judges=3)
+    lookup, agg_report = aggregate(records, min_judges=3)
     assert vars(agg_report) == {
         "records_in": 20,
         "bad_labels": 3,
@@ -273,7 +273,8 @@ def test_07_judgment_rules_on_mixed_fixture(data_dir):
         "cells_kept": 4,
         "cells_dropped": 2,
     }
-    means = {s[:3]: s.relevance for s in sets}
+    means = relevance_cells(lookup)
+    assert len(means) == 4
     assert means[("obama", "d1", "CA")] == pytest.approx(8 / 3)
     assert means[("obama", "d1", "NY")] == pytest.approx(2.0)
     assert means[("obama", "d2", "CA")] == pytest.approx(1.0)

@@ -22,6 +22,7 @@ import ctvm
 from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
 from ctvm.corpus import format_timestamp
+from ctvm.errors import ContractViolation
 
 
 def read(path) -> str:
@@ -167,6 +168,34 @@ class TestIngest:
         )
         assert json.loads(out)["region"] == "BA"
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (
+                "CA,California\nny,New York\n",
+                "region code must be uppercase letters: 'ny'",
+            ),
+            ("CA,California\nCA,Cal\n", "duplicate region code: CA"),
+            ("CA,California\nNY,\n", "region NY has an empty full name"),
+        ],
+    )
+    def test_bad_region_table_exits_one(self, table, message, golden, tmp_path, capsys):
+        path = tmp_path / "regions.csv"
+        path.write_text(table, encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "ingest",
+            "--tweets",
+            golden / "tweets.jsonl",
+            "--out",
+            tmp_path / "out.jsonl",
+            "--region-table",
+            path,
+        )
+        assert code == EXIT_INPUT
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 class TestRerank:
     def test_golden_bytes(self, golden, tmp_path, capsys):
@@ -224,6 +253,27 @@ class TestRerank:
         )
         assert code == EXIT_INPUT
         assert "ZZ" in err
+
+    def test_no_usable_news_exits_one(self, golden, tmp_path, capsys):
+        news = tmp_path / "news.jsonl"
+        write_lines(news, ["not json", json.dumps({"id": "n1"})])
+        code, _, err = run(
+            capsys,
+            "rerank",
+            "--tweets",
+            golden / "tweets.jsonl",
+            "--news",
+            news,
+            "--queries",
+            golden / "queries.jsonl",
+            "--out",
+            tmp_path / "out.jsonl",
+        )
+        assert code == EXIT_INPUT
+        assert err == (
+            "note: 2 malformed news lines dropped\n"
+            f"error: no usable news records in {news}\n"
+        )
 
     def test_gappy_ranks_exit_one(self, golden, tmp_path, capsys):
         news = tmp_path / "news.jsonl"
@@ -693,6 +743,22 @@ class TestEval:
         )
         assert code == EXIT_INPUT
         assert "line 1" in err
+
+    def test_blank_rankings_file_exits_one(self, golden, tmp_path, capsys):
+        rankings = tmp_path / "rankings.jsonl"
+        rankings.write_text("\n  \n\t\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--rankings",
+            rankings,
+            "--judgments",
+            golden / "judgments.jsonl",
+            "--out",
+            "-",
+        )
+        assert code == EXIT_INPUT
+        assert (out, err) == ("", f"error: no ranking rows in {rankings}\n")
 
     def eval_ranking(self, rows, golden, tmp_path, capsys):
         """Run eval on one obama/google/2011-12-12 engine ranking whose
@@ -1223,6 +1289,11 @@ class TestUsage:
         err = self.usage_error(command, flag, value, golden, capsys)
         assert f"argument {flag}: must be an integer >= 1, got {value!r}\n" in err
 
+    @pytest.mark.parametrize("value", ["3,x", "3,,5", "k"])
+    def test_non_integer_cutoff_exits_two(self, value, golden, capsys):
+        err = self.usage_error("eval", "--k", value, golden, capsys)
+        assert f"argument --k: bad cutoff list: {value!r}\n" in err
+
     @pytest.mark.parametrize("value", ["2011-13-01", "12/12/2011", ""])
     def test_bad_date_exits_two(self, value, golden, capsys):
         err = self.usage_error("rerank", "--date", value, golden, capsys)
@@ -1242,6 +1313,16 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: ctvm {command} ")
         return err
+
+
+def test_contract_violation_exits_two(golden, capsys, monkeypatch):
+    def broken(args):
+        raise ContractViolation("ranking lost a document")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    code, out, err = run(capsys, "report", "--rows", golden / "expected_rows.csv")
+    assert code == EXIT_CONTRACT
+    assert (out, err) == ("", "error: ranking lost a document\n")
 
 
 @pytest.mark.parametrize(

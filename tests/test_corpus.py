@@ -4,6 +4,7 @@ import json
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ctvm.corpus import (
     CorpusSlice,
@@ -18,7 +19,7 @@ from ctvm.corpus import (
     slice_corpus,
 )
 from ctvm.errors import InputDataError
-from ctvm.textproc import tokenize
+from ctvm.textproc import lower_nfc, tokenize
 
 UTC = timezone.utc
 DAY = date(2011, 12, 12)
@@ -91,6 +92,16 @@ class TestQuery:
         with pytest.raises(ValueError, match="lowercase"):
             Query(id="x", variants=("Obama",))
 
+    @pytest.mark.parametrize("variant", ["cafe\u0301", "j\u030cx"])
+    def test_variant_not_in_nfc_rejected(self, variant):
+        # matches compares text in NFC, where such a variant never occurs
+        with pytest.raises(ValueError, match="lowercase"):
+            Query(id="x", variants=(variant,))
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(ValueError, match="query id is empty"):
+            Query(id="", variants=("obama",))
+
     def test_empty_variants_rejected(self):
         with pytest.raises(ValueError):
             Query(id="x", variants=())
@@ -110,6 +121,22 @@ class TestRecordValidation:
         )
         assert t.timestamp.tzinfo == UTC
         assert t.day() == date(2011, 12, 13)
+
+    def test_tweet_empty_id_rejected(self):
+        with pytest.raises(ValueError, match="tweet id is empty"):
+            make_tweet(tid="")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("id", "news id is empty"),
+            ("query_id", "has no query_id"),
+            ("engine", "has no engine"),
+        ],
+    )
+    def test_news_empty_key_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            make_news(**{field: ""})
 
     def test_tweet_blank_text_rejected(self):
         with pytest.raises(ValueError, match="text"):
@@ -197,6 +224,20 @@ class TestIngestTweets:
         assert report.malformed == 15
         assert [t.id for t in tweets] == ["ok", "pair"]
         assert tweets[1].text == "x \U0001f600"
+
+    @pytest.mark.parametrize("location", [0, False, [], {}, True, 5])
+    def test_non_string_location_is_malformed(self, states, location):
+        base = {"id": "t1", "text": "x", "timestamp": "2011-12-12T08:00:00Z"}
+        tweets, report = self.run([{**base, "user_location": location}], states)
+        assert tweets == []
+        assert report.malformed == 1
+
+    @pytest.mark.parametrize("record", [{}, {"user_location": None}])
+    def test_absent_or_null_location_reads_empty(self, states, record):
+        base = {"id": "t1", "text": "x", "timestamp": "2011-12-12T08:00:00Z"}
+        tweets, report = self.run([{**base, **record}], states)
+        assert report.accepted == 1
+        assert tweets[0].user_location == ""
 
     def test_exact_280_chars_accepted(self, states):
         tweets, report = self.run(
@@ -341,6 +382,21 @@ class TestLoadNews:
             "duplicates": 1,
         }
 
+    @pytest.mark.parametrize("snippet", [0, False, [], {}, True, 5])
+    def test_non_string_snippet_is_malformed(self, snippet):
+        record = {
+            "id": "n1",
+            "query_id": "q",
+            "engine": "g",
+            "original_rank": 1,
+            "title": "T",
+            "retrieved_date": "2011-12-12",
+            "snippet": snippet,
+        }
+        docs, report = load_news([json.dumps(record)])
+        assert docs == []
+        assert report.malformed == 1
+
     def test_snippet_defaults_empty(self):
         docs, _ = load_news(
             [
@@ -381,6 +437,23 @@ class TestLoadQueries:
         with pytest.raises(InputDataError, match="duplicate"):
             load_queries([line, line])
 
+    @given(
+        st.one_of(
+            st.text(min_size=1, max_size=12),
+            # cased letters, their marks and spaces, where folding is subtle
+            st.text(
+                st.sampled_from(
+                    "J\u01f0jI\u0130i\u03a3\u03c3\u03c2\u00c5 \u0301\u030c\u0307\u030a"
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+        ).filter(str.strip)
+    )
+    def test_any_non_blank_variant_loads(self, variant):
+        (query,) = load_queries([json.dumps({"id": "q", "variants": [variant]})])
+        assert query.variants == (lower_nfc(variant).strip(),)
+
     def test_non_string_variant_is_fatal(self):
         with pytest.raises(InputDataError):
             load_queries([json.dumps({"id": "q", "variants": ["a", 3]})])
@@ -417,6 +490,17 @@ class TestSliceCorpus:
         tweets = [make_tweet(f"t{i}", text=text) for i, text in enumerate(texts)]
         sliced = slice_corpus(tweets, [], query, "CA", DAY, "google")
         assert [t.id for t in sliced.tweets] == ["t0", "t1", "t2"]
+
+    @pytest.mark.parametrize("variant", ["\u01f0x", "J\u030cx"])
+    def test_mention_matches_in_any_case(self, variant):
+        # J + caron has no precomposed capital; lowered, it is U+01F0
+        (query,) = load_queries([json.dumps({"id": "jx", "variants": [variant]})])
+        tweets = [
+            make_tweet("t0", text="J\u030cx today"),
+            make_tweet("t1", text="\u01f0x today"),
+        ]
+        sliced = slice_corpus(tweets, [], query, "CA", DAY, "google")
+        assert [t.id for t in sliced.tweets] == ["t0", "t1"]
 
     def test_day_boundary_uses_utc(self):
         # 01:00+02:00 is 23:00 UTC the previous day

@@ -19,7 +19,7 @@ from ctvm.evaluation import (
     ndcg,
     ndcg_columns,
 )
-from ctvm.judgments import JudgmentRecord, JudgmentSet, RelevanceLookup, aggregate
+from ctvm.judgments import JudgmentRecord, RelevanceLookup, aggregate
 from ctvm.voting import Ranking
 
 from oracles import naive_dcg, naive_mean, naive_ndcg, ranking_relevances
@@ -171,8 +171,8 @@ def lookup_for(cells: dict[tuple[str, str, str], float]) -> RelevanceLookup:
                     label=int(value),
                 )
             )
-    sets, _ = aggregate(records)
-    return RelevanceLookup(sets)
+    lookup, _ = aggregate(records)
+    return lookup
 
 
 class TestRankingRelevances:
@@ -407,10 +407,12 @@ ANY_CONFIG = st.builds(
 
 
 def lookup_of(cells: dict[tuple[str, str, str], float]) -> RelevanceLookup:
-    return RelevanceLookup(
-        JudgmentSet(query_id, news_id, region, (), relevance)
-        for (query_id, news_id, region), relevance in cells.items()
-    )
+    """A lookup holding exactly these relevances, which need not be
+    means of whole-number labels."""
+    index: dict[str, dict[str, dict[str, float]]] = {}
+    for (query_id, news_id, region), relevance in cells.items():
+        index.setdefault(region, {}).setdefault(query_id, {})[news_id] = relevance
+    return RelevanceLookup(index)
 
 
 def reference_scores(units, cells, region, config, require_complete):

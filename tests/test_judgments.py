@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from ctvm.judgments import (
     JudgmentRecord,
     Label,
-    RelevanceLookup,
     aggregate,
     load_judgment_records,
     parse_label,
     round_half_up,
 )
 
-from oracles import naive_aggregate
+from oracles import naive_aggregate, relevance_cells
 
 
 def record(news_id="n1", judge="j1", label=2, query="q", region="CA"):
@@ -63,29 +62,23 @@ class TestAggregate:
             record(judge="j2", label="interesting"),
             record(judge="j3", label="very interesting"),
         ]
-        sets, report = aggregate(records)
-        assert len(sets) == 1
-        assert sets[0].relevance == pytest.approx(8 / 3)
-        assert sets[0][:3] == ("q", "n1", "CA")
-        assert dict(sets[0].labels) == {
-            "j1": Label.VERY_INTERESTING,
-            "j2": Label.INTERESTING,
-            "j3": Label.VERY_INTERESTING,
-        }
+        lookup, report = aggregate(records)
+        # 3 + 2 + 3 judged: the label texts parse to their scores
+        assert relevance_cells(lookup) == {("q", "n1", "CA"): pytest.approx(8 / 3)}
         assert report.cells_kept == 1
 
     def test_too_few_judges_drops_cell(self):
         records = [record(judge="j1"), record(judge="j2")]
-        sets, report = aggregate(records)
-        assert sets == []
+        lookup, report = aggregate(records)
+        assert relevance_cells(lookup) == {}
         assert report.cells_dropped == 1
-        sets, report = aggregate(records, min_judges=2)
-        assert len(sets) == 1
+        lookup, report = aggregate(records, min_judges=2)
+        assert relevance_cells(lookup) == {("q", "n1", "CA"): 2.0}
         assert report.cells_dropped == 0
 
     def test_min_judges_one_keeps_everything(self):
-        sets, _ = aggregate([record()], min_judges=1)
-        assert sets[0].relevance == 2.0
+        lookup, _ = aggregate([record()], min_judges=1)
+        assert relevance_cells(lookup) == {("q", "n1", "CA"): 2.0}
 
     def test_min_judges_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -98,10 +91,12 @@ class TestAggregate:
             record(judge="j3", label=2),
             record(judge="j1", label=3),
         ]
-        sets, report = aggregate(records)
+        lookup, report = aggregate(records)
         assert report.duplicates_superseded == 1
-        assert sets[0].relevance == pytest.approx(7 / 3)
-        assert dict(sets[0].labels)["j1"] is Label.VERY_INTERESTING
+        # j1's later 3 counts, not its earlier 0 (which would give 4 / 3)
+        assert lookup.get("q", "n1", "CA") == pytest.approx(7 / 3)
+        # j1 counts once: four judges would keep the cell
+        assert aggregate(records, min_judges=4)[1].cells_dropped == 1
 
     def test_bad_labels_skipped_and_counted(self):
         records = [
@@ -110,15 +105,16 @@ class TestAggregate:
             record(judge="j3", label=2),
             record(judge="j4", label=2),
         ]
-        sets, report = aggregate(records)
+        lookup, report = aggregate(records)
         assert report.bad_labels == 1
-        assert sets[0].relevance == 2.0
-        assert len(sets[0].labels) == 3
+        assert lookup.get("q", "n1", "CA") == 2.0
+        # only the three parsed labels count as judges
+        assert aggregate(records, min_judges=4)[1].cells_dropped == 1
 
     def test_all_bad_cell_never_forms(self):
         records = [record(judge="j1", label="junk")]
-        sets, report = aggregate(records)
-        assert sets == []
+        lookup, report = aggregate(records)
+        assert lookup.regions() == ()
         assert vars(report) == {
             "records_in": 1,
             "bad_labels": 1,
@@ -134,11 +130,12 @@ class TestAggregate:
                 records.append(
                     record(region=region, judge=judge, label=3 if region == "CA" else 1)
                 )
-        sets, report = aggregate(records)
+        lookup, report = aggregate(records)
         assert report.cells_kept == 2
-        by_key = {s[:3]: s.relevance for s in sets}
-        assert by_key[("q", "n1", "CA")] == 3.0
-        assert by_key[("q", "n1", "NY")] == 1.0
+        assert relevance_cells(lookup) == {
+            ("q", "n1", "CA"): 3.0,
+            ("q", "n1", "NY"): 1.0,
+        }
 
     @given(
         st.lists(
@@ -152,18 +149,19 @@ class TestAggregate:
     )
     def test_report_totals_are_consistent(self, pairs):
         records = [record(judge=j, label=v) for j, v in pairs]
-        sets, report = aggregate(records, min_judges=2)
+        lookup, report = aggregate(records, min_judges=2)
+        cells = relevance_cells(lookup)
         assert report.records_in == len(records)
-        assert report.cells_kept == len(sets)
+        assert report.cells_kept == len(cells)
         assert report.cells_kept + report.cells_dropped <= 1
         # last-wins is about per-judge repeats, not record order of
         # distinct judges: dedupe keeps its semantics under this check
         last_by_judge = {}
         for j, v in pairs:
             last_by_judge[j] = v
-        if sets:
+        if cells:
             expected = sum(last_by_judge.values()) / len(last_by_judge)
-            assert sets[0].relevance == pytest.approx(expected)
+            assert cells[("q", "n1", "CA")] == pytest.approx(expected)
 
 
 # raw label values as JSON can carry them: the four label texts in
@@ -196,12 +194,17 @@ class TestAggregateLabelMemo:
             max_size=20,
         ),
         st.integers(min_value=1, max_value=3),
+        st.booleans(),
     )
-    def test_equals_parsing_every_record(self, ratings, min_judges):
+    def test_equals_parsing_every_record(self, ratings, min_judges, round_scores):
         records = [record(news_id=n, judge=j, label=v) for n, j, v in ratings]
-        sets, report = aggregate(records, min_judges=min_judges)
+        lookup, report = aggregate(
+            records, min_judges=min_judges, round_scores=round_scores
+        )
         cells, counts = naive_aggregate(records, min_judges)
-        assert [(s[:3], s.labels, s.relevance) for s in sets] == cells
+        if round_scores:
+            cells = {key: round_half_up(mean) for key, mean in cells.items()}
+        assert relevance_cells(lookup) == cells
         assert vars(report) == counts
 
 
@@ -285,7 +288,7 @@ class TestFixtureFile:
         with open(data_dir / "judgments_20.jsonl", encoding="utf-8") as fh:
             records, malformed = load_judgment_records(fh)
         assert malformed == 0
-        sets, report = aggregate(records)
+        lookup, report = aggregate(records)
         assert vars(report) == {
             "records_in": 20,
             "bad_labels": 3,
@@ -293,8 +296,7 @@ class TestFixtureFile:
             "cells_kept": 4,
             "cells_dropped": 2,
         }
-        by_key = {s[:3]: s.relevance for s in sets}
-        assert by_key == {
+        assert relevance_cells(lookup) == {
             ("obama", "d1", "CA"): pytest.approx(8 / 3),
             ("obama", "d1", "NY"): pytest.approx(2.0),
             ("obama", "d2", "CA"): pytest.approx(1.0),
@@ -312,28 +314,24 @@ class TestRounding:
 
 
 class TestRelevanceLookup:
-    def make_sets(self):
-        records = [
-            record(judge=f"j{i}", label=v)
-            for i, v in enumerate((3, 3, 2), start=1)
-        ]
-        sets, _ = aggregate(records)
-        return sets
+    RECORDS = [
+        record(judge=f"j{i}", label=v) for i, v in enumerate((3, 3, 2), start=1)
+    ]
 
     def test_hit(self):
-        lookup = RelevanceLookup(self.make_sets())
+        lookup, _ = aggregate(self.RECORDS)
         assert lookup.get("q", "n1", "CA") == pytest.approx(8 / 3)
         assert lookup.contains("q", "n1", "CA")
 
     def test_miss_scores_zero(self):
-        lookup = RelevanceLookup(self.make_sets())
+        lookup, _ = aggregate(self.RECORDS)
         assert lookup.get("q", "n9", "CA") == 0.0
         assert lookup.get("q", "n1", "TX") == 0.0
         assert not lookup.contains("q", "n9", "CA")
         assert not lookup.contains("q", "n1", "TX")
 
     def test_round_scores_option(self):
-        lookup = RelevanceLookup(self.make_sets(), round_scores=True)
+        lookup, _ = aggregate(self.RECORDS, round_scores=True)
         assert lookup.get("q", "n1", "CA") == 3.0
 
     def test_regions_sorted(self):
@@ -341,8 +339,7 @@ class TestRelevanceLookup:
         for region in ("TX", "CA"):
             for judge in ("j1", "j2", "j3"):
                 records.append(record(region=region, judge=judge))
-        sets, _ = aggregate(records)
-        lookup = RelevanceLookup(sets)
+        lookup, _ = aggregate(records)
         assert lookup.regions() == ("CA", "TX")
 
 

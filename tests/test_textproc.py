@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import string
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ctvm.textproc import Pipeline, TermVector, load_stopwords, to_vector, tokenize
+from ctvm.textproc import (
+    Pipeline,
+    TermVector,
+    load_stopwords,
+    lower_nfc,
+    to_vector,
+    tokenize,
+)
 
 from oracles import naive_vector
 
@@ -42,6 +51,44 @@ class TestTokenize:
             assert token
             assert token == token.lower()
             assert "_" not in token
+
+
+class TestLowerNfc:
+    def test_ascii_is_only_lowercased(self):
+        assert lower_nfc("Obama's TAX plan") == "obama's tax plan"
+
+    def test_lowered_letter_and_mark_are_composed(self):
+        # J + caron lowers to j + caron, which NFC writes as U+01F0
+        assert lower_nfc("J\u030cx") == "\u01f0x"
+        assert tokenize("J\u030cx today") == tokenize("\u01f0x today") == [
+            "\u01f0x", "today",
+        ]
+
+    def test_every_cased_letter_before_a_mark(self):
+        # every code point with a case mapping, before each mark U+0300-U+036F
+        cased = [
+            chr(c)
+            for c in range(sys.maxunicode + 1)
+            if not 0xD800 <= c <= 0xDFFF
+            and chr(c).lower() + chr(c).upper() != 2 * chr(c)
+        ]
+        not_idempotent, split_apart = [], []
+        for letter in cased:
+            for mark in map(chr, range(0x300, 0x370)):
+                text = letter + mark + "x"
+                folded = lower_nfc(text)
+                if lower_nfc(folded) != folded:
+                    not_idempotent.append(text)
+                if tokenize(text) != tokenize(letter.lower() + mark + "x"):
+                    split_apart.append(text)
+        assert not_idempotent == [] and split_apart == []
+
+    @given(st.text(max_size=50))
+    def test_idempotent_lowercase_nfc(self, text):
+        folded = lower_nfc(text)
+        assert lower_nfc(folded) == folded
+        assert unicodedata.is_normalized("NFC", folded)
+        assert folded == folded.lower()
 
 
 class TestLoadStopwords:

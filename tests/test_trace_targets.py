@@ -68,3 +68,7 @@ def test_traced_pipeline_counts_every_layer(data_dir, tmp_path, capsys):
     idle = {name for name in tracer.names if metrics[f"{name}.calls"] == 0}
     assert idle == {"evaluation.ndcg", "judgments.lookup"}
     assert metrics["evaluation.mean_ndcg.calls"] == 1
+    # judgment observers: 45 records make 15 cells of 3 judges each
+    assert metrics["judgments.records"] == 45
+    assert metrics["judgments.cells_kept"] == 15
+    assert metrics["judgments.cells_dropped"] == 0
