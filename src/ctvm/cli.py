@@ -34,7 +34,7 @@ from .corpus import (
     load_queries,
     slice_corpus,
 )
-from .errors import ContractViolation, CtvmError, InputDataError, read_input
+from .errors import ContractViolation, CtvmError, EvalError, InputDataError, read_input
 from .evaluation import (
     EvalRow,
     NdcgConfig,
@@ -342,6 +342,13 @@ def cmd_eval(args) -> int:
     results = mean_ndcg(
         groups, lookup, regions, config, require_complete=args.require_complete
     )
+    for r, region in enumerate(regions):
+        for (engine, provenance), units, (_, _, counts, _) in zip(keys, groups, results):
+            if not counts[r]:
+                raise EvalError(
+                    f"no evaluable queries for {engine}/{provenance} in region "
+                    f"{region} (require_complete dropped all {len(units)})"
+                )
     misses = sum(sum(group_misses) for *_, group_misses in results)
     if misses:
         _note(f"{misses} ranked docs had no judgment; scored 0")

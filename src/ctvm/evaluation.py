@@ -17,13 +17,17 @@ ranked docs: each doc's column of region gains, the unjudged counts and
 the ideal DCG columns. Each ranking is then one pass that adds a column
 per position: dcg's terms in dcg's order for every region (builtin
 sum() compensates from Python 3.12, which would change the eval CSV).
+
+ndcg_columns scores every ranking exactly. mean_ndcg alone applies
+require_complete, and a region it leaves with no query reads count 0
+and nan means; whether that is an error is the caller's decision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -112,16 +116,13 @@ def ndcg_columns(
     lookup: RelevanceLookup,
     regions: Sequence[str],
     config: NdcgConfig = DEFAULT_CONFIG,
-    *,
-    require_complete: bool = False,
 ) -> Iterator[tuple[str, list[tuple[str, list[int], list[list[float]]]]]]:
     """Each ranking scored under every region in one pass: for each
     group (query instances paired with rankings of one provenance), in
     order, (provenance, [(query_id, unjudged, values)]), one triple per
     ranking. unjudged[r] counts its docs regions[r] did not judge, and
     values[c][r] is exactly ndcg of its relevances there (0 where
-    unjudged) at config.cutoffs[c], or 0.0 where require_complete
-    leaves it out of regions[r]."""
+    unjudged) at config.cutoffs[c]."""
     if isinstance(regions, str) or not regions:
         raise ContractViolation(f"need a list of region codes, got {regions!r}")
     cutoffs = config.cutoffs
@@ -161,11 +162,9 @@ def ndcg_columns(
                     for column in (sorted(column, reverse=True) for column in gains)
                 ]
                 last = min(len(ids), len(discounts))
-                # a zero ideal has only zero gains, and 0.0 / 1.0 is ndcg's
-                # 0.0; so is any DCG over the inf of a unit left out
+                # a zero ideal has only zero gains, and 0.0 / 1.0 is ndcg's 0.0
                 cuts = [
-                    (i, [math.inf if require_complete and missed else ideal[i] or 1.0
-                         for ideal, missed in zip(ideals, unjudged)])
+                    (i, [ideal[i] or 1.0 for ideal in ideals])
                     for i in (min(k, last) for k in cutoffs)
                 ]
                 gain_of = dict(zip(ids, zip(*gains)))
@@ -198,36 +197,24 @@ def mean_ndcg(
     under regions[r]; misses[r] counts their unjudged docs, scored 0.
 
     With require_complete, a query whose ranking holds a doc the region
-    did not judge is left out there. A group with no evaluable query is
-    an error; the first in (region, group) order is raised. math.fsum
-    keeps each mean independent of unit order.
+    did not judge is left out there. A region left with no query has
+    count 0 and nan means. math.fsum keeps each mean independent of
+    unit order.
     """
     results = []
-    errors: dict[int, EvalError] = {}
-    for provenance, scored in ndcg_columns(
-        groups, lookup, regions, config, require_complete=require_complete
-    ):
+    for provenance, scored in ndcg_columns(groups, lookup, regions, config):
         unjudged = list(zip(*(unjudged for _, unjudged, _ in scored)))
-        counts = [m.count(0) if require_complete else len(m) for m in unjudged]
-        for r in [r for r, n in enumerate(counts) if not n]:
-            error = EvalError(
-                f"no evaluable queries for {provenance} in region {regions[r]} "
-                f"(require_complete dropped all {len(scored)})"
-            )
-            if not r:  # nothing comes before an error in the first region
-                raise error
-            errors.setdefault(r, error)
-        if errors:  # raised below, and a zero count cannot divide
-            continue
-        # a query left out of a region reads 0.0 there, which fsum ignores
+        kept = [[not (require_complete and n) for n in m] for m in unjudged]
+        counts = list(map(sum, kept))
         means = [
-            list(map(truediv, map(math.fsum, zip(*column)), counts))
+            [
+                math.fsum(compress(values, keep)) / n if n else math.nan
+                for values, keep, n in zip(zip(*column), kept, counts)
+            ]
             for column in zip(*(values for _, _, values in scored))
         ]
-        misses = [0] * len(regions) if require_complete else list(map(sum, unjudged))
+        misses = [sum(compress(m, keep)) for m, keep in zip(unjudged, kept)]
         results.append((provenance, means, counts, misses))
-    if errors:
-        raise errors[min(errors)]
     return results
 
 

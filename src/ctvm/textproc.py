@@ -43,12 +43,13 @@ def tokenize(text: str) -> list[str]:
 
 def load_stopwords(path: str | None = None) -> frozenset[str]:
     """Read a stopword file: one word per line, # comments, blanks ok.
+    Each word is folded as tokens are, with lower_nfc.
 
     With no path, the bundled SMART list is used.
     """
     words = set()
     for line in read_input(path, "stopwords_smart.txt"):
-        entry = line.strip().lower()
+        entry = lower_nfc(line.strip())
         if not entry or entry.startswith("#"):
             continue
         words.add(entry)
@@ -59,10 +60,10 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
 class Pipeline:
     """Everything to_vector needs besides the text itself.
 
-    query_terms are the lowercase surface forms of the query; their
-    stems are excluded as well, so an inflected variant of the query
-    word ("economies" for query "economy") cannot sneak back in after
-    stemming.
+    Every word is in lower_nfc's form, as tokens are. query_terms are
+    the surface forms of the query; their stems are excluded as well,
+    so an inflected variant of the query word ("economies" for query
+    "economy") cannot sneak back in after stemming.
     """
 
     stopwords: frozenset[str]
@@ -74,8 +75,8 @@ class Pipeline:
     def __post_init__(self) -> None:
         drop_tokens = self.stopwords | self.query_terms
         for word in drop_tokens:
-            if word != word.lower():
-                raise ValueError(f"pipeline words must be lowercase: {word!r}")
+            if word != lower_nfc(word):
+                raise ValueError(f"pipeline words must be lowercase NFC: {word!r}")
         drop_stems = drop_tokens | {stem(t) for t in self.query_terms}
         object.__setattr__(self, "_drop_tokens", drop_tokens)
         object.__setattr__(self, "_drop_stems", drop_stems)

@@ -688,6 +688,51 @@ class TestEval:
         assert loose_out.splitlines()[1].endswith(",2")
         assert strict_out.splitlines()[1].endswith(",1")
 
+    def test_require_complete_names_the_first_exhausted_group(self, tmp_path, capsys):
+        """bing ranks n1, n2 and google n1, zz for q1. CA judged n1 and
+        n2, NY only n1: the flag leaves google nothing in CA and neither
+        engine anything in NY. The error is the first in (region,
+        group) order, with its engine, and no rows are written."""
+        rankings = tmp_path / "rankings.jsonl"
+        write_lines(rankings, [
+            json.dumps({
+                "query_id": "q1", "engine": engine, "date": "2011-12-12",
+                "provenance": "engine", "position": position,
+                "news_id": news_id, "vote": None,
+            })
+            for engine, ids in (("bing", ["n1", "n2"]), ("google", ["n1", "zz"]))
+            for position, news_id in enumerate(ids, start=1)
+        ])
+        judgments = tmp_path / "judgments.jsonl"
+        write_lines(judgments, [
+            json.dumps({
+                "query_id": "q1", "news_id": news_id, "region": region,
+                "judge_id": judge, "label": 2,
+            })
+            for region, news_id in (("CA", "n1"), ("CA", "n2"), ("NY", "n1"))
+            for judge in ("j1", "j2", "j3")
+        ])
+        out = tmp_path / "rows.csv"
+        for regions, first in (
+            ("CA,NY", "google/engine in region CA"),
+            ("NY,CA", "bing/engine in region NY"),
+        ):
+            code, _, err = run(
+                capsys, "eval", "--rankings", rankings, "--judgments", judgments,
+                "--regions", regions, "--require-complete", "--out", out,
+            )
+            assert code == EXIT_INPUT
+            assert err == (
+                f"error: no evaluable queries for {first} "
+                "(require_complete dropped all 1)\n"
+            )
+            assert not out.exists()
+        code, _, _ = run(
+            capsys, "eval", "--rankings", rankings, "--judgments", judgments,
+            "--regions", "CA", "--out", out,
+        )
+        assert code == EXIT_OK
+
     def test_miss_note_counts_scored_units_only(self, data_dir, tmp_path, capsys):
         """The tri-region rankings plus a second day in which every
         ranking holds one unjudged doc (n9 for n5). Without the flag each

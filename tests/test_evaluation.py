@@ -217,9 +217,7 @@ def column_scores(
     """ndcg_columns' values as each region's scores: for each region, one
     list per group of (query id, NDCG per cutoff), leaving out the
     queries that require_complete drops there."""
-    columns = list(
-        ndcg_columns(groups, lookup, regions, config, require_complete=require_complete)
-    )
+    columns = list(ndcg_columns(groups, lookup, regions, config))
     return [
         [
             [
@@ -308,14 +306,16 @@ class TestMeanNdcg:
     def test_require_complete_can_exhaust(self):
         lookup = lookup_for(self.CELLS)
         units = [("q1", ranked(["a", "zz"], "engine"))]
-        with pytest.raises(EvalError, match="require_complete"):
-            mean_ndcg(
-                [units],
-                lookup,
-                ["CA"],
-                NdcgConfig(cutoffs=(2,)),
-                require_complete=True,
-            )
+        [(provenance, means, counts, misses)] = mean_ndcg(
+            [units],
+            lookup,
+            ["CA"],
+            NdcgConfig(cutoffs=(2,)),
+            require_complete=True,
+        )
+        assert (provenance, counts, misses) == ("engine", [0], [0])
+        [[mean]] = means
+        assert math.isnan(mean)
 
     def test_no_units_rejected(self):
         with pytest.raises(EvalError, match="no rankings"):
@@ -456,10 +456,6 @@ class TestMeanNdcgExactness:
             units, cells, region, config, require_complete
         )
         lookup = lookup_of(cells)
-        if not expected:
-            with pytest.raises(EvalError, match="require_complete"):
-                mean_ndcg([units], lookup, [region], config, require_complete=True)
-            return
         [[(rows, misses)]] = region_rows(
             [units], lookup, [region], config, require_complete=require_complete
         )
@@ -471,8 +467,11 @@ class TestMeanNdcgExactness:
         for i, row in enumerate(rows):
             assert row.cutoff == config.cutoffs[i]
             values = [per_cutoff[i] for _, per_cutoff in scores]
-            assert row.mean_ndcg == math.fsum(values) / len(values)
             assert row.n_queries == len(values)
+            if values:
+                assert row.mean_ndcg == math.fsum(values) / len(values)
+            else:  # require_complete left no query
+                assert math.isnan(row.mean_ndcg)
 
     def test_one_query_over_two_doc_sets(self):
         """One query ranked over a different doc set on each of two
@@ -509,8 +508,8 @@ class TestMeanNdcgExactness:
 
 class TestMeanNdcgGroups:
     """One call scores many groups under one region; each group's
-    result, misses included, and errors are those of the group scored
-    alone."""
+    result, misses included, is that of the group scored alone, and a
+    bad group raises as it would alone."""
 
     @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
     @given(
@@ -523,31 +522,21 @@ class TestMeanNdcgGroups:
     def test_one_call_equals_each_group_alone(
         self, cells, groups, region, config, require_complete
     ):
-        alone, error = [], None
+        alone = []
         for units in groups:
-            try:
-                alone += mean_ndcg(
-                    [units],
-                    lookup_of(cells),
-                    [region],
-                    config,
-                    require_complete=require_complete,
-                )
-            except EvalError as exc:
-                error = str(exc)
-                break
-        lookup = lookup_of(cells)
-        if error is None:
-            results = mean_ndcg(
-                groups, lookup, [region], config, require_complete=require_complete
+            alone += mean_ndcg(
+                [units],
+                lookup_of(cells),
+                [region],
+                config,
+                require_complete=require_complete,
             )
-            assert results == alone
-        else:
-            with pytest.raises(EvalError) as excinfo:
-                mean_ndcg(
-                    groups, lookup, [region], config, require_complete=require_complete
-                )
-            assert str(excinfo.value) == error
+        lookup = lookup_of(cells)
+        results = mean_ndcg(
+            groups, lookup, [region], config, require_complete=require_complete
+        )
+        # a count-0 mean is math.nan itself, which lists compare by identity
+        assert results == alone
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -579,8 +568,9 @@ REGION_LISTS = (
 
 
 class TestMeanNdcgRegions:
-    """One call scores every region; each region's values, misses, rows
-    and errors are those of ndcg run per unit under that region alone."""
+    """One call scores every region; each region's values, misses and
+    rows are those of ndcg run per unit under that region alone, and a
+    region left with no query reads count 0 and nan means."""
 
     @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
     @given(
@@ -594,24 +584,24 @@ class TestMeanNdcgRegions:
     def test_each_region_equals_the_reference(
         self, cells, groups, empty_at, regions, config, require_complete
     ):
+        lookup = lookup_of(cells)
         if empty_at < len(groups):
             groups.insert(empty_at, [])
-        expected, error = [], None
+            with pytest.raises(EvalError) as excinfo:
+                mean_ndcg(
+                    groups, lookup, regions, config, require_complete=require_complete
+                )
+            assert str(excinfo.value) == (
+                f"no rankings to evaluate for region {regions[0]}"
+            )
+            return
+        expected = []
         for region in regions:
             expected.append([])
             for units in groups:
-                if not units:
-                    error = f"no rankings to evaluate for region {region}"
-                    break
                 scores, misses = reference_scores(
                     units, cells, region, config, require_complete
                 )
-                if not scores:
-                    error = (
-                        f"no evaluable queries for ctvm(CA) in region {region} "
-                        f"(require_complete dropped all {len(units)})"
-                    )
-                    break
                 rows = [
                     EvalRow("ctvm(CA)", k, math.fsum(values) / len(values), len(values))
                     for k, values in zip(
@@ -619,52 +609,42 @@ class TestMeanNdcgRegions:
                     )
                 ]
                 expected[-1].append((rows, scores, misses))
-            if error is not None:
-                break
-        lookup = lookup_of(cells)
-        if error is not None:
-            with pytest.raises(EvalError) as excinfo:
-                mean_ndcg(
-                    groups, lookup, regions, config, require_complete=require_complete
-                )
-            assert str(excinfo.value) == error
-            return
         results = region_rows(groups, lookup, regions, config, require_complete)
         scores = column_scores(groups, lookup, regions, config, require_complete)
         assert len(results) == len(scores) == len(regions)
         for want, got, got_scores in zip(expected, results, scores):
-            assert got == [(rows, misses) for rows, _, misses in want]
             assert got_scores == [scores for _, scores, _ in want]
-        # a query left out of a region reads 0.0 there
-        for _, scored in ndcg_columns(
-            groups, lookup, regions, config, require_complete=require_complete
-        ):
-            for _, unjudged, values in scored:
-                for r, missed in enumerate(unjudged):
-                    if require_complete and missed:
-                        assert [column[r] for column in values] == [0.0] * len(values)
+            for (rows, _, misses), (got_rows, got_misses) in zip(want, got):
+                assert got_misses == misses
+                if rows:
+                    assert got_rows == rows
+                else:  # require_complete left no query
+                    assert len(got_rows) == len(config.cutoffs)
+                    for k, row in zip(config.cutoffs, got_rows):
+                        assert (row.provenance, row.cutoff) == ("ctvm(CA)", k)
+                        assert row.n_queries == 0 and math.isnan(row.mean_ndcg)
 
-    def test_first_error_in_region_order_wins(self):
+    def test_exhausted_cells_read_count_0_and_nan(self):
         cells = {("q1", "a", "CA"): 3.0, ("q1", "b", "CA"): 1.0, ("q1", "a", "NY"): 2.0}
         groups = [
             [("q1", ranked(["a"], "engine"))],  # TX judged nothing
             [("q1", ranked(["a", "b"], "ctvm(CA)"))],  # and NY not b
         ]
-        with pytest.raises(EvalError) as excinfo:
-            mean_ndcg(
-                groups, lookup_of(cells), ["CA", "NY", "TX"], require_complete=True
-            )
-        assert str(excinfo.value) == (
-            "no evaluable queries for ctvm(CA) in region NY "
-            "(require_complete dropped all 1)"
+        results = mean_ndcg(
+            groups, lookup_of(cells), ["CA", "NY", "TX"], require_complete=True
         )
-        # the first region's error comes before a later group's
-        with pytest.raises(EvalError) as excinfo:
-            mean_ndcg([*groups, []], lookup_of(cells), ["TX"], require_complete=True)
-        assert str(excinfo.value) == (
-            "no evaluable queries for engine in region TX "
-            "(require_complete dropped all 1)"
-        )
+        assert [(result[0], *result[2:]) for result in results] == [
+            ("engine", [1, 1, 0], [0, 0, 0]),
+            ("ctvm(CA)", [1, 0, 0], [0, 0, 0]),
+        ]
+        relevances = [[[3.0], [2.0], None], [[3.0, 1.0], None, None]]
+        for (_, means, _, _), per_region in zip(results, relevances):
+            for k, column in zip(DEFAULT_CUTOFFS, means):
+                for mean, kept in zip(column, per_region):
+                    if kept is None:
+                        assert math.isnan(mean)
+                    else:
+                        assert mean == ndcg(kept, k)
 
     def test_a_bare_string_is_not_a_region_list(self):
         lookup = lookup_of({("q1", "a", "CA"): 3.0, ("q1", "a", "C"): 1.0})

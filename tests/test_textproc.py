@@ -105,6 +105,13 @@ class TestLoadStopwords:
         words = load_stopwords(str(path))
         assert words == frozenset({"foo", "bar"})
 
+    @pytest.mark.parametrize("entry", ["cafe\u0301", "CAFE\u0301"])
+    def test_entries_fold_as_tokens_do(self, tmp_path, entry):
+        path = tmp_path / "stop.txt"
+        path.write_text(entry + "\n", encoding="utf-8")
+        pipeline = Pipeline(stopwords=load_stopwords(str(path)))
+        assert to_vector("caf\u00e9 cafe\u0301 opens", pipeline) == {"open": 1}
+
 
 class TestPipeline:
     def test_rejects_uppercase_terms(self, stopwords):
@@ -112,6 +119,9 @@ class TestPipeline:
             Pipeline(stopwords=stopwords, query_terms=frozenset({"Obama"}))
         with pytest.raises(ValueError):
             Pipeline(stopwords=frozenset({"The"}))
+        # tokens are NFC, so a decomposed word could never match one
+        with pytest.raises(ValueError, match="lowercase"):
+            Pipeline(stopwords=frozenset({"cafe\u0301"}))
 
     def test_blocks_query_stem_variants(self, stopwords):
         p = Pipeline(stopwords=stopwords, query_terms=frozenset({"economy"}))
