@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
@@ -39,24 +38,28 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-@dataclass(frozen=True)
-class Query:
-    """A query and its mention variants, each lowercase in NFC
-    (lower_nfc), the form matches compares tweet text in."""
-
+class _QueryFields(NamedTuple):
     id: str
     variants: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class Query(_QueryFields):
+    """A query and its mention variants, each lowercase in NFC
+    (lower_nfc), the form matches compares tweet text in."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, variants: tuple[str, ...]) -> Query:
+        if not id:
             raise ValueError("query id is empty")
-        if not self.variants:
-            raise ValueError(f"query {self.id} has no variants")
-        for v in self.variants:
+        if not variants:
+            raise ValueError(f"query {id} has no variants")
+        for v in variants:
             if not v or v != lower_nfc(v):
                 raise ValueError(
                     f"query variant must be non-empty lowercase NFC: {v!r}"
                 )
+        return tuple.__new__(cls, (id, variants))
 
     def terms(self) -> frozenset[str]:
         """Lowercase tokens across all variants, for vector exclusion."""
@@ -72,52 +75,74 @@ class Query:
         return any(v in lowered for v in self.variants)
 
 
-@dataclass(frozen=True)
-class Tweet:
+class _TweetFields(NamedTuple):
     id: str
     text: str
     timestamp: datetime
-    user_location: str = ""
-    region: str | None = None
+    user_location: str
+    region: str | None
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class Tweet(_TweetFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        text: str,
+        timestamp: datetime,
+        user_location: str = "",
+        region: str | None = None,
+    ) -> Tweet:
+        if not id:
             raise ValueError("tweet id is empty")
-        if not self.text.strip():
-            raise ValueError(f"tweet {self.id} has empty text")
-        if self.timestamp.tzinfo is None:
-            raise ValueError(f"tweet {self.id} timestamp is naive")
-        object.__setattr__(
-            self, "timestamp", self.timestamp.astimezone(timezone.utc)
-        )
+        if not text.strip():
+            raise ValueError(f"tweet {id} has empty text")
+        if timestamp.tzinfo is None:
+            raise ValueError(f"tweet {id} timestamp is naive")
+        timestamp = timestamp.astimezone(timezone.utc)
+        return tuple.__new__(cls, (id, text, timestamp, user_location, region))
 
     def day(self) -> date:
         return self.timestamp.date()
 
 
-@dataclass(frozen=True)
-class NewsDoc:
+class _NewsDocFields(NamedTuple):
     id: str
     query_id: str
     engine: str
     original_rank: int
     title: str
     retrieved_date: date
-    snippet: str = ""
+    snippet: str
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class NewsDoc(_NewsDocFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        query_id: str,
+        engine: str,
+        original_rank: int,
+        title: str,
+        retrieved_date: date,
+        snippet: str = "",
+    ) -> NewsDoc:
+        if not id:
             raise ValueError("news id is empty")
-        if not self.query_id:
-            raise ValueError(f"news {self.id} has no query_id")
-        if not self.engine:
-            raise ValueError(f"news {self.id} has no engine")
-        if isinstance(self.original_rank, bool) or self.original_rank < 1:
-            raise ValueError(
-                f"news {self.id} original_rank must be an int >= 1"
-            )
-        if not self.title.strip():
-            raise ValueError(f"news {self.id} has an empty title")
+        if not query_id:
+            raise ValueError(f"news {id} has no query_id")
+        if not engine:
+            raise ValueError(f"news {id} has no engine")
+        if isinstance(original_rank, bool) or original_rank < 1:
+            raise ValueError(f"news {id} original_rank must be an int >= 1")
+        if not title.strip():
+            raise ValueError(f"news {id} has an empty title")
+        return tuple.__new__(
+            cls, (id, query_id, engine, original_rank, title, retrieved_date, snippet)
+        )
 
 
 class CorpusSlice(NamedTuple):
@@ -177,6 +202,21 @@ def _record_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode(raw: str) -> object:
+    """json.loads(raw) for a stripped line, without its two whitespace
+    scans: raw_decode reads the value, and the end check raises
+    json.loads's "Extra data" error at the same position. A line with a
+    leading BOM goes through json.loads itself, which names the BOM."""
+    if raw.startswith("\ufeff"):
+        return json.loads(raw)
+    value, end = _raw_decode(raw)
+    if end != len(raw):
+        pos = len(raw) - len(raw[end:].lstrip(" \t\n\r"))
+        raise json.JSONDecodeError("Extra data", raw, pos)
+    return value
 
 
 def _parse_record(raw: str, fields: dict[str, type]) -> dict:
@@ -188,7 +228,7 @@ def _parse_record(raw: str, fields: dict[str, type]) -> dict:
     scanning no other line keeps eval_s on local3 and longtail about a
     fifth lower. Raises ValueError naming the first field that fails."""
     try:
-        record = json.loads(raw)
+        record = _decode(raw)
     except RecursionError:
         raise ValueError("JSON nested too deeply")
     if type(record) is not dict:
@@ -269,15 +309,8 @@ def ingest_tweets(
             region = regions.resolve(location, loose_abbrev=loose_abbrev)
         if region is None:
             report.region_unresolved += 1
-        tweets.append(
-            Tweet(
-                id=tweet_id,
-                text=text,
-                timestamp=timestamp,
-                user_location=location,
-                region=region,
-            )
-        )
+        # every field is checked above, so Tweet's own checks are skipped
+        tweets.append(Tweet._make((tweet_id, text, timestamp, location, region)))
         report.accepted += 1
     return tweets, report
 
@@ -318,13 +351,16 @@ def load_queries(lines: Iterable[str]) -> list[Query]:
     for lineno, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _QUERY_FIELDS)
-            variants = record["variants"]
+            query_id, variants = record["id"], record["variants"]
             if not all(isinstance(v, str) for v in variants):
                 raise ValueError("variants must be a list of strings")
-            query = Query(
-                id=record["id"],
-                variants=tuple(lower_nfc(v).strip() for v in variants),
-            )
+            # folded here, so only Query's emptiness checks are left to make
+            variants = tuple(lower_nfc(v).strip() for v in variants)
+            if not variants:
+                raise ValueError(f"query {query_id} has no variants")
+            if "" in variants:
+                raise ValueError("query variant must be non-empty lowercase NFC: ''")
+            query = Query._make((query_id, variants))
         except ValueError as exc:
             raise InputDataError(f"bad query record on line {lineno}: {exc}")
         if query.id in seen:

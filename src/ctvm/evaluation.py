@@ -26,7 +26,6 @@ and nan means; whether that is an error is the caller's decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import add, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -41,23 +40,26 @@ VARIANT_LITERAL = "literal"
 DEFAULT_CUTOFFS = (3, 5, 10)
 
 
-@dataclass(frozen=True)
-class NdcgConfig:
-    cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
-    variant: str = VARIANT_STANDARD
+class _NdcgConfigFields(NamedTuple):
+    cutoffs: tuple[int, ...]
+    variant: str
 
-    def __post_init__(self) -> None:
-        if not self.cutoffs:
+
+class NdcgConfig(_NdcgConfigFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS, variant: str = VARIANT_STANDARD
+    ) -> NdcgConfig:
+        if not cutoffs:
             raise ValueError("need at least one cutoff")
-        if any(
-            isinstance(k, bool) or not isinstance(k, int) or k < 1
-            for k in self.cutoffs
-        ):
-            raise ValueError(f"cutoffs must be ints >= 1: {self.cutoffs}")
-        if list(self.cutoffs) != sorted(set(self.cutoffs)):
-            raise ValueError(f"cutoffs must be strictly ascending: {self.cutoffs}")
-        if self.variant not in (VARIANT_STANDARD, VARIANT_LITERAL):
-            raise ValueError(f"unknown variant: {self.variant!r}")
+        if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in cutoffs):
+            raise ValueError(f"cutoffs must be ints >= 1: {cutoffs}")
+        if list(cutoffs) != sorted(set(cutoffs)):
+            raise ValueError(f"cutoffs must be strictly ascending: {cutoffs}")
+        if variant not in (VARIANT_STANDARD, VARIANT_LITERAL):
+            raise ValueError(f"unknown variant: {variant!r}")
+        return tuple.__new__(cls, (cutoffs, variant))
 
 
 DEFAULT_CONFIG = NdcgConfig()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 
 from .errors import InputDataError, read_input
 
@@ -19,16 +18,19 @@ _LETTER_RUN_RE = re.compile(r"[A-Za-z]+")
 _CODE_RE = re.compile(r"[A-Z]+\Z")
 
 
-@dataclass(frozen=True)
 class RegionTable:
-    """Ordered (code, full_name) pairs; codes unique and uppercase."""
+    """Ordered (code, full_name) pairs; codes unique and uppercase.
 
-    entries: tuple[tuple[str, str], ...]
+    Immutable, and equal to (and hashed like) a table of the same
+    entries; the codes and lowered names are kept beside them.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("entries", "_codes", "_lowered_names")
+
+    def __new__(cls, entries: tuple[tuple[str, str], ...]) -> RegionTable:
         seen = set()
         lowered = []
-        for code, name in self.entries:
+        for code, name in entries:
             if not _CODE_RE.match(code):
                 raise ValueError(f"region code must be uppercase letters: {code!r}")
             if not name or not name.strip():
@@ -37,8 +39,31 @@ class RegionTable:
                 raise ValueError(f"duplicate region code: {code}")
             seen.add(code)
             lowered.append(name.lower())
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_codes", frozenset(seen))
         object.__setattr__(self, "_lowered_names", tuple(lowered))
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"RegionTable(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return RegionTable, (self.entries,)
 
     def __contains__(self, code: object) -> bool:
         return code in self._codes

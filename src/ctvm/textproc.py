@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
 
 from .errors import read_input
 from .porter import stem
@@ -56,7 +55,6 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
-@dataclass(frozen=True)
 class Pipeline:
     """Everything to_vector needs besides the text itself.
 
@@ -64,22 +62,57 @@ class Pipeline:
     the surface forms of the query; their stems are excluded as well,
     so an inflected variant of the query word ("economies" for query
     "economy") cannot sneak back in after stemming.
+
+    Immutable, and equal to (and hashed like) a pipeline of the same
+    words; the drop sets are kept beside them.
     """
 
-    stopwords: frozenset[str]
-    query_terms: frozenset[str] = frozenset()
-    # tokens dropped before stemming, and stems dropped after it
-    _drop_tokens: frozenset[str] = field(init=False, repr=False)
-    _drop_stems: frozenset[str] = field(init=False, repr=False)
+    __slots__ = (
+        "stopwords",
+        "query_terms",
+        "_drop_tokens",  # tokens dropped before stemming
+        "_drop_stems",  # stems dropped after it
+    )
 
-    def __post_init__(self) -> None:
-        drop_tokens = self.stopwords | self.query_terms
+    def __new__(
+        cls, stopwords: frozenset[str], query_terms: frozenset[str] = frozenset()
+    ) -> Pipeline:
+        drop_tokens = stopwords | query_terms
         for word in drop_tokens:
             if word != lower_nfc(word):
                 raise ValueError(f"pipeline words must be lowercase NFC: {word!r}")
-        drop_stems = drop_tokens | {stem(t) for t in self.query_terms}
+        drop_stems = drop_tokens | {stem(t) for t in query_terms}
+        self = object.__new__(cls)
+        object.__setattr__(self, "stopwords", stopwords)
+        object.__setattr__(self, "query_terms", query_terms)
         object.__setattr__(self, "_drop_tokens", drop_tokens)
         object.__setattr__(self, "_drop_stems", drop_stems)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.stopwords == other.stopwords and self.query_terms == other.query_terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.stopwords, self.query_terms))
+
+    def __repr__(self) -> str:
+        return (
+            f"Pipeline(stopwords={self.stopwords!r}, "
+            f"query_terms={self.query_terms!r})"
+        )
+
+    def __reduce__(self):
+        return Pipeline, (self.stopwords, self.query_terms)
 
 
 def to_vector(text: str, pipeline: Pipeline) -> TermVector:

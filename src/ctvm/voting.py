@@ -8,8 +8,7 @@ reproduces the engine ranking exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import CorpusSlice, NewsDoc
 from .errors import ContractViolation, EmptySliceError
@@ -72,21 +71,25 @@ def vote(
     return {doc.id: total for doc, total in zip(corpus_slice.news, totals)}
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """News ids in ranked order, best first, with a provenance tag."""
-
+class _RankingFields(NamedTuple):
     ids: tuple[str, ...]
     provenance: str
 
-    def __post_init__(self) -> None:
-        if not self.provenance:
+
+class Ranking(_RankingFields):
+    """News ids in ranked order, best first, with a provenance tag."""
+
+    __slots__ = ()
+
+    def __new__(cls, ids: tuple[str, ...], provenance: str) -> Ranking:
+        if not provenance:
             raise ValueError("ranking needs a provenance tag")
         seen: set[str] = set()
-        for news_id in self.ids:
+        for news_id in ids:
             if news_id in seen:
                 raise ValueError(f"duplicate news id in ranking: {news_id}")
             seen.add(news_id)
+        return tuple.__new__(cls, (ids, provenance))
 
 
 PROVENANCE_ENGINE = "engine"

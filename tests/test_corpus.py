@@ -4,13 +4,14 @@ import json
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ctvm.corpus import (
     CorpusSlice,
     NewsDoc,
     Query,
     Tweet,
+    _parse_record,
     format_timestamp,
     ingest_tweets,
     load_news,
@@ -274,6 +275,18 @@ class TestIngestTweets:
         assert len(tweets) == 1
         assert tweets[0].text == "first"
 
+    def test_blank_text_is_malformed_before_the_duplicate_check(self, states):
+        record = {"id": "t1", "text": "obama", "timestamp": "2011-12-12T08:00:00Z"}
+        tweets, report = self.run([{**record, "text": "  "}, record], states)
+        assert vars(report) == {
+            "accepted": 1,
+            "malformed": 1,
+            "duplicates": 0,
+            "region_unresolved": 1,
+        }
+        # the loader checks what Tweet would, so its records pass Tweet's checks
+        assert [Tweet(*t) for t in tweets] == tweets
+
     def test_preset_region_passes_through(self, states):
         tweets, _ = self.run(
             [
@@ -453,12 +466,65 @@ class TestLoadQueries:
     def test_any_non_blank_variant_loads(self, variant):
         (query,) = load_queries([json.dumps({"id": "q", "variants": [variant]})])
         assert query.variants == (lower_nfc(variant).strip(),)
+        # the loader folds instead of calling Query, whose checks still hold
+        assert Query(*query) == query
 
     def test_non_string_variant_is_fatal(self):
         with pytest.raises(InputDataError):
             load_queries([json.dumps({"id": "q", "variants": ["a", 3]})])
         with pytest.raises(InputDataError, match="variants holds a lone surrogate"):
             load_queries([json.dumps({"id": "q", "variants": ["a", "b\ud800"]})])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def record_lines(draw) -> str:
+    """A stripped input line: a JSON object, then maybe whitespace (JSON's
+    and not) and extra data, maybe cut short, maybe after a BOM."""
+    value = draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4))
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    text += draw(st.text(" \t\n\r\x0c\xa0", max_size=3))
+    text += draw(
+        st.sampled_from(["", "x", "]", "}", ",", "1", "null", '"s"'])
+        | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2).map(json.dumps)
+    )
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.strip()
+
+
+def outcome(parse, raw: str) -> tuple:
+    try:
+        return "value", parse(raw)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def parse_with_json_loads(raw: str) -> dict:
+    record = json.loads(raw)
+    if type(record) is not dict:
+        raise ValueError("not a JSON object")
+    return record
+
+
+class TestParseRecord:
+    # "bad ranking row on line N: ..." and "bad query record on line N:
+    # ..." print the decoder's message, so it must be json.loads's
+    @given(record_lines())
+    def test_decode_agrees_with_json_loads(self, raw):
+        assume(raw)
+        assert outcome(lambda r: _parse_record(r, {}), raw) == outcome(
+            parse_with_json_loads, raw
+        )
 
 
 QUERY = Query(id="obama", variants=("obama",))

@@ -41,11 +41,14 @@ def test_package_imports_only_stdlib_and_itself():
 
 def run_python(code: str, pythonpath: Path) -> str:
     """Stdout of code run by a fresh interpreter without site, so no
-    module that site preloads is imported before ctvm's own imports."""
+    module that site preloads is imported before ctvm's own imports.
+    It writes no bytecode: stripping every PYTHON* variable also drops
+    PYTHONDONTWRITEBYTECODE, and .pyc files left under src/ would go
+    stale when the source changes."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(pythonpath)
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-B", "-c", code],
         env=env,
         capture_output=True,
         text=True,
@@ -60,6 +63,15 @@ def test_cli_import_leaves_importlib_resources_out():
         "import sys, ctvm.cli; print('importlib.resources' in sys.modules)", SRC
     )
     assert out == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    out = run_python(
+        "import sys, ctvm.cli\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n",
+        SRC,
+    )
+    assert out == "False False\n"
 
 
 def test_bundled_data_is_read_beside_a_copied_package(tmp_path):
