@@ -32,6 +32,7 @@ from .corpus import (
     ingest_tweets,
     load_news,
     load_queries,
+    parse_date,
     slice_corpus,
 )
 from .errors import ContractViolation, CtvmError, EvalError, InputDataError, read_input
@@ -154,7 +155,7 @@ def _positive_int(value: str) -> int:
 
 def _parse_date(value: str) -> date:
     try:
-        return date.fromisoformat(value)
+        return parse_date(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {value!r}")
 

@@ -11,23 +11,45 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from datetime import date, datetime, timezone
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InputDataError
 from .geofilter import RegionTable
 from .textproc import lower_nfc, tokenize
 
 
+# The one syntax for dates and timestamps, whatever fromisoformat takes
+# on the running Python: YYYY-MM-DD dates, and RFC 3339 timestamps with
+# an offset, "T", "t" or a space before the time and a fraction of any
+# length. ASCII digits only, as [0-9] says and \d would not.
+_DATE_RE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_TIMESTAMP_RE = re.compile(
+    "([0-9]{4}-[0-9]{2}-[0-9]{2}[Tt ][0-9]{2}:[0-9]{2}:[0-9]{2})"
+    "(?:[.]([0-9]+))?([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])"
+)
+
+
+def parse_date(value: str) -> date:
+    """A YYYY-MM-DD date."""
+    if not _DATE_RE.fullmatch(value):
+        raise ValueError(f"not a YYYY-MM-DD date: {value!r}")
+    return date.fromisoformat(value)
+
+
 def parse_timestamp(value: str) -> datetime:
-    """RFC 3339 timestamp with a required UTC offset ('Z' accepted)."""
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        raise ValueError(f"timestamp lacks a UTC offset: {value!r}")
+    """An RFC 3339 timestamp with a required UTC offset ('Z' accepted),
+    in UTC. A fraction is cut to microseconds: digits past the sixth
+    are dropped, so 3.10's fromisoformat gets exactly six."""
+    match = _TIMESTAMP_RE.fullmatch(value.strip())
+    if match is None:
+        raise ValueError(f"not RFC 3339 with a UTC offset: {value!r}")
+    text, fraction, offset = match.groups()
+    if fraction:
+        text += "." + fraction[:6].ljust(6, "0")
+    parsed = datetime.fromisoformat(text + ("+00:00" if offset in "Zz" else offset))
     try:
         return parsed.astimezone(timezone.utc)
     except OverflowError:
@@ -38,12 +60,7 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-class _QueryFields(NamedTuple):
-    id: str
-    variants: tuple[str, ...]
-
-
-class Query(_QueryFields):
+class Query(namedtuple("Query", "id variants")):
     """A query and its mention variants, each lowercase in NFC
     (lower_nfc), the form matches compares tweet text in."""
 
@@ -75,15 +92,7 @@ class Query(_QueryFields):
         return any(v in lowered for v in self.variants)
 
 
-class _TweetFields(NamedTuple):
-    id: str
-    text: str
-    timestamp: datetime
-    user_location: str
-    region: str | None
-
-
-class Tweet(_TweetFields):
+class Tweet(namedtuple("Tweet", "id text timestamp user_location region")):
     __slots__ = ()
 
     def __new__(
@@ -107,17 +116,11 @@ class Tweet(_TweetFields):
         return self.timestamp.date()
 
 
-class _NewsDocFields(NamedTuple):
-    id: str
-    query_id: str
-    engine: str
-    original_rank: int
-    title: str
-    retrieved_date: date
-    snippet: str
-
-
-class NewsDoc(_NewsDocFields):
+class NewsDoc(
+    namedtuple(
+        "NewsDoc", "id query_id engine original_rank title retrieved_date snippet"
+    )
+):
     __slots__ = ()
 
     def __new__(
@@ -145,20 +148,11 @@ class NewsDoc(_NewsDocFields):
         )
 
 
-class CorpusSlice(NamedTuple):
-    """One (query, region, day, engine) cell of the corpus.
-
-    slice_corpus builds it: news is the engine's full contiguous top-k
-    for that cell; tweets are ordered by (timestamp, id) so later
-    summations are reproducible.
-    """
-
-    query: Query
-    region: str
-    day: date
-    engine: str
-    tweets: tuple[Tweet, ...]
-    news: tuple[NewsDoc, ...]
+# One (query, region, day, engine) cell of the corpus. slice_corpus
+# builds it: news is the engine's full contiguous top-k for that cell;
+# tweets are ordered by (timestamp, id) so later summations are
+# reproducible.
+CorpusSlice = namedtuple("CorpusSlice", "query region day engine tweets news")
 
 
 def slice_corpus(
@@ -322,24 +316,26 @@ def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], SimpleNamespace]:
     for _, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _NEWS_FIELDS)
+            news_id, title = record["id"], record["title"]
+            rank = record["original_rank"]
+            if rank < 1:
+                raise ValueError("original_rank below 1")
+            if not title.strip():
+                raise ValueError("blank title")
+            day = parse_date(record["retrieved_date"])
             snippet = _optional_str(record, "snippet")
-            doc = NewsDoc(
-                id=record["id"],
-                query_id=record["query_id"],
-                engine=record["engine"],
-                original_rank=record["original_rank"],
-                title=record["title"],
-                retrieved_date=date.fromisoformat(record["retrieved_date"]),
-                snippet=snippet,
-            )
         except ValueError:
             report.malformed += 1
             continue
-        if doc.id in seen:
+        if news_id in seen:
             report.duplicates += 1
             continue
-        seen.add(doc.id)
-        docs.append(doc)
+        seen.add(news_id)
+        # every field is checked above, so NewsDoc's own checks are skipped
+        query_id, engine = record["query_id"], record["engine"]
+        docs.append(
+            NewsDoc._make((news_id, query_id, engine, rank, title, day, snippet))
+        )
         report.accepted += 1
     return docs, report
 

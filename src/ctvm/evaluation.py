@@ -26,9 +26,10 @@ and nan means; whether that is an error is the caller's decision.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate, compress, repeat
 from operator import add, truediv
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractViolation, EvalError
 from .judgments import RelevanceLookup
@@ -40,12 +41,7 @@ VARIANT_LITERAL = "literal"
 DEFAULT_CUTOFFS = (3, 5, 10)
 
 
-class _NdcgConfigFields(NamedTuple):
-    cutoffs: tuple[int, ...]
-    variant: str
-
-
-class NdcgConfig(_NdcgConfigFields):
+class NdcgConfig(namedtuple("NdcgConfig", "cutoffs variant")):
     __slots__ = ()
 
     def __new__(
@@ -102,15 +98,13 @@ def ndcg(relevances: Sequence[float], k: int, config: NdcgConfig = DEFAULT_CONFI
     return min(1.0, value)
 
 
-class EvalRow(NamedTuple):
-    """One mean NDCG of the eval CSV: a named tuple, because report
-    builds one per row it reads and compare marks each again."""
-
-    provenance: str
-    cutoff: int
-    mean_ndcg: float
-    n_queries: int
-    better_than_engine: bool = False
+# One mean NDCG of the eval CSV: a named tuple, because report builds
+# one per row it reads and compare marks each again.
+EvalRow = namedtuple(
+    "EvalRow",
+    "provenance cutoff mean_ndcg n_queries better_than_engine",
+    defaults=(False,),
+)
 
 
 def ndcg_columns(

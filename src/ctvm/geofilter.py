@@ -11,21 +11,24 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import namedtuple
 
 from .errors import InputDataError, read_input
+from .textproc import lower_nfc
 
 _LETTER_RUN_RE = re.compile(r"[A-Za-z]+")
 _CODE_RE = re.compile(r"[A-Z]+\Z")
 
 
-class RegionTable:
+class RegionTable(namedtuple("RegionTable", "entries codes lowered_names")):
     """Ordered (code, full_name) pairs; codes unique and uppercase.
 
-    Immutable, and equal to (and hashed like) a table of the same
-    entries; the codes and lowered names are kept beside them.
+    codes and lowered_names (each name in lower_nfc's form) are derived
+    from entries, the only constructor argument, which is all that copy
+    and pickle pass back to it.
     """
 
-    __slots__ = ("entries", "_codes", "_lowered_names")
+    __slots__ = ()
 
     def __new__(cls, entries: tuple[tuple[str, str], ...]) -> RegionTable:
         seen = set()
@@ -38,49 +41,28 @@ class RegionTable:
             if code in seen:
                 raise ValueError(f"duplicate region code: {code}")
             seen.add(code)
-            lowered.append(name.lower())
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_codes", frozenset(seen))
-        object.__setattr__(self, "_lowered_names", tuple(lowered))
-        return self
+            lowered.append(lower_nfc(name))
+        return tuple.__new__(cls, (entries, frozenset(seen), tuple(lowered)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"RegionTable(entries={self.entries!r})"
-
-    def __reduce__(self):
-        return RegionTable, (self.entries,)
+    def __getnewargs__(self):
+        return self[:1]
 
     def __contains__(self, code: object) -> bool:
-        return code in self._codes
+        return code in self.codes
 
     def resolve(self, location: str, loose_abbrev: bool = False) -> str | None:
         """Region code for a location string, or None.
 
-        Full names match as case-insensitive substrings. Codes match as
-        whole uppercase letter runs ("CA" in "San Jose, CA" but not in
-        "NYC"); with loose_abbrev they match as case-sensitive
-        substrings instead, trading precision for recall.
+        Full names match as substrings, both folded with lower_nfc.
+        Codes match as whole uppercase letter runs ("CA" in "San Jose,
+        CA" but not in "NYC"); with loose_abbrev they match as
+        case-sensitive substrings instead, trading precision for recall.
         """
         if not location:
             return None
-        lowered = location.lower()
+        lowered = lower_nfc(location)
         runs: set[str] | None = None
-        for (code, _name), low_name in zip(self.entries, self._lowered_names):
+        for (code, _name), low_name in zip(self.entries, self.lowered_names):
             if low_name in lowered:
                 return code
             if loose_abbrev:

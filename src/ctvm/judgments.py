@@ -9,9 +9,10 @@ rated the same cell twice counts once, with the later record winning.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import IntEnum
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .corpus import _parse_record, _record_lines
 
@@ -47,15 +48,10 @@ def parse_label(value: object) -> Label:
     raise ValueError(f"judgment label must be text or int: {value!r}")
 
 
-class JudgmentRecord(NamedTuple):
-    """One judge's label for one cell, as read; eval builds one per
-    judgment line, so it is a named tuple."""
-
-    query_id: str
-    news_id: str
-    region: str
-    judge_id: str
-    label: object  # raw value; parsed during aggregation
+# One judge's label for one cell, as read; eval builds one per judgment
+# line, so it is a named tuple. label is the raw value, parsed during
+# aggregation.
+JudgmentRecord = namedtuple("JudgmentRecord", "query_id news_id region judge_id label")
 
 
 def load_judgment_records(

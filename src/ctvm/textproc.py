@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import namedtuple
 
 from .errors import read_input
 from .porter import stem
@@ -55,7 +56,7 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
-class Pipeline:
+class Pipeline(namedtuple("Pipeline", "stopwords query_terms drop_tokens drop_stems")):
     """Everything to_vector needs besides the text itself.
 
     Every word is in lower_nfc's form, as tokens are. query_terms are
@@ -63,16 +64,12 @@ class Pipeline:
     so an inflected variant of the query word ("economies" for query
     "economy") cannot sneak back in after stemming.
 
-    Immutable, and equal to (and hashed like) a pipeline of the same
-    words; the drop sets are kept beside them.
+    drop_tokens (dropped before stemming) and drop_stems (after it) are
+    derived from the first two fields, the only constructor arguments,
+    which are all that copy and pickle pass back to it.
     """
 
-    __slots__ = (
-        "stopwords",
-        "query_terms",
-        "_drop_tokens",  # tokens dropped before stemming
-        "_drop_stems",  # stems dropped after it
-    )
+    __slots__ = ()
 
     def __new__(
         cls, stopwords: frozenset[str], query_terms: frozenset[str] = frozenset()
@@ -82,37 +79,10 @@ class Pipeline:
             if word != lower_nfc(word):
                 raise ValueError(f"pipeline words must be lowercase NFC: {word!r}")
         drop_stems = drop_tokens | {stem(t) for t in query_terms}
-        self = object.__new__(cls)
-        object.__setattr__(self, "stopwords", stopwords)
-        object.__setattr__(self, "query_terms", query_terms)
-        object.__setattr__(self, "_drop_tokens", drop_tokens)
-        object.__setattr__(self, "_drop_stems", drop_stems)
-        return self
+        return tuple.__new__(cls, (stopwords, query_terms, drop_tokens, drop_stems))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.stopwords == other.stopwords and self.query_terms == other.query_terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.stopwords, self.query_terms))
-
-    def __repr__(self) -> str:
-        return (
-            f"Pipeline(stopwords={self.stopwords!r}, "
-            f"query_terms={self.query_terms!r})"
-        )
-
-    def __reduce__(self):
-        return Pipeline, (self.stopwords, self.query_terms)
+    def __getnewargs__(self):
+        return self[:2]
 
 
 def to_vector(text: str, pipeline: Pipeline) -> TermVector:
@@ -122,7 +92,7 @@ def to_vector(text: str, pipeline: Pipeline) -> TermVector:
     ("news" stems to "new", which is a stopword), keeping the output
     free of both regardless of inflection.
     """
-    drop_tokens, drop_stems = pipeline._drop_tokens, pipeline._drop_stems
+    drop_tokens, drop_stems = pipeline.drop_tokens, pipeline.drop_stems
     counts: TermVector = {}
     for token in tokenize(text):
         if token in drop_tokens:

@@ -8,7 +8,8 @@ reproduces the engine ranking exactly.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .corpus import CorpusSlice, NewsDoc
 from .errors import ContractViolation, EmptySliceError
@@ -71,12 +72,7 @@ def vote(
     return {doc.id: total for doc, total in zip(corpus_slice.news, totals)}
 
 
-class _RankingFields(NamedTuple):
-    ids: tuple[str, ...]
-    provenance: str
-
-
-class Ranking(_RankingFields):
+class Ranking(namedtuple("Ranking", "ids provenance")):
     """News ids in ranked order, best first, with a provenance tag."""
 
     __slots__ = ()

@@ -12,6 +12,7 @@ earlier, plainer implementation of the same rules.
 from __future__ import annotations
 
 import math
+import unicodedata
 
 from ctvm.judgments import parse_label
 from ctvm.porter import stem
@@ -160,10 +161,16 @@ def naive_resolve(
     entries: list[tuple[str, str]],
     loose: bool = False,
 ) -> str | None:
-    """First-match region resolution with a hand-rolled token scanner."""
+    """First-match region resolution with a hand-rolled token scanner.
+    Names and locations are compared lowercased in NFC, with NFC applied
+    again after lowering, which can leave a letter and a mark to compose."""
+
+    def fold(text: str) -> str:
+        return unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).lower())
+
     if not location:
         return None
-    lowered = location.lower()
+    lowered = fold(location)
     runs: list[str] = []
     current: list[str] = []
     for ch in location:
@@ -176,7 +183,7 @@ def naive_resolve(
     if current:
         runs.append("".join(current))
     for code, name in entries:
-        if name.lower() in lowered:
+        if fold(name) in lowered:
             return code
         if loose:
             if code in location:

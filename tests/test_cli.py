@@ -1339,7 +1339,9 @@ class TestUsage:
         err = self.usage_error("eval", "--k", value, golden, capsys)
         assert f"argument --k: bad cutoff list: {value!r}\n" in err
 
-    @pytest.mark.parametrize("value", ["2011-13-01", "12/12/2011", ""])
+    @pytest.mark.parametrize(
+        "value", ["2011-13-01", "12/12/2011", "", "20111212", "2011-W50-1"]
+    )
     def test_bad_date_exits_two(self, value, golden, capsys):
         err = self.usage_error("rerank", "--date", value, golden, capsys)
         assert f"argument --date: not a YYYY-MM-DD date: {value!r}\n" in err

@@ -16,6 +16,7 @@ from ctvm.corpus import (
     ingest_tweets,
     load_news,
     load_queries,
+    parse_date,
     parse_timestamp,
     slice_corpus,
 )
@@ -76,6 +77,63 @@ class TestTimestamps:
     def test_format_normalizes_offset(self):
         parsed = parse_timestamp("2011-12-12T14:00:00+05:30")
         assert format_timestamp(parsed) == "2011-12-12T08:30:00Z"
+
+
+class TestOneSyntax:
+    """Dates and timestamps take the README's grammar on every supported
+    Python, whatever its own fromisoformat accepts."""
+
+    @pytest.mark.parametrize(
+        "text, microsecond",
+        [
+            ("2011-12-12T08:00:00.5+00:00", 500000),
+            ("2011-12-12T08:00:00.1234+00:00", 123400),
+            ("2011-12-12T08:00:00.123456789Z", 123456),
+            ("2011-12-12t08:00:00.000001z", 1),
+            ("2011-12-12 09:00:00+01:00", 0),
+            ("2011-12-12T08:00:00-00:00", 0),
+        ],
+    )
+    def test_rfc3339_timestamp_accepted(self, text, microsecond):
+        expected = datetime(2011, 12, 12, 8, 0, 0, microsecond, tzinfo=UTC)
+        assert parse_timestamp(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2011-12-12x08:00:00+00:00",
+            "20111212T080000+0000",
+            "2011-12-12T08:00:00+0000",
+            "2011-12-12T08:00+00:00",
+            "2011-12-12T08:00:00,5+00:00",
+            "2011-12-12T08:00:00.+00:00",
+            "2011-12-12T08:00:00+05:60",
+            "2011-12-12T08:00:00+00:00:00",
+            "\uff12011-12-12T08:00:00Z",
+        ],
+    )
+    def test_other_timestamps_rejected(self, text):
+        with pytest.raises(ValueError, match="not RFC 3339 with a UTC offset"):
+            parse_timestamp(text)
+
+    @pytest.mark.parametrize(
+        "text", ["20111212", "2011-W50-1", "2011-346", "\u0662011-12-12", " 2011-12-12"]
+    )
+    def test_only_yyyy_mm_dd_dates(self, text):
+        with pytest.raises(ValueError, match="not a YYYY-MM-DD date"):
+            parse_date(text)
+        record = dict(
+            id="n1",
+            query_id="q",
+            engine="e",
+            original_rank=1,
+            title="T",
+            retrieved_date=text,
+        )
+        good = {**record, "id": "n2", "retrieved_date": "2011-12-12"}
+        docs, report = load_news([json.dumps(record), json.dumps(good)])
+        assert [(d.id, d.retrieved_date) for d in docs] == [("n2", DAY)]
+        assert report.malformed == 1
 
 
 class TestQuery:
@@ -384,6 +442,7 @@ class TestLoadNews:
             json.dumps({**good, "id": "n9\ud800"}),
             json.dumps({**good, "id": "n10", "title": "Obama \udc00 speaks"}),
             json.dumps({**good, "id": "n11", "snippet": "\udbff"}, ensure_ascii=False),
+            json.dumps({**good, "id": "n12", "title": "   "}),
             json.dumps(good),
             "broken",
         ]
@@ -391,7 +450,7 @@ class TestLoadNews:
         assert [d.id for d in docs] == ["n1"]
         assert vars(report) == {
             "accepted": 1,
-            "malformed": 12,
+            "malformed": 13,
             "duplicates": 1,
         }
 

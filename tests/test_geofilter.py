@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +110,16 @@ class TestResolve:
         assert states.resolve("Washington DC") == "WA"
         assert states.resolve("Germaine's Bakery") == "ME"
         assert states.resolve("LA") == "LA"
+
+    @pytest.mark.parametrize("name_form", ["NFC", "NFD"])
+    @pytest.mark.parametrize("location_form", ["NFC", "NFD"])
+    def test_names_and_locations_fold_to_nfc(self, name_form, location_form):
+        # "Québec" in NFD is "Que" + U+0301 + "bec", which str.lower alone
+        # never finds in the NFC spelling, nor the NFC spelling in it
+        table = RegionTable((("QC", unicodedata.normalize(name_form, "Québec")),))
+        location = unicodedata.normalize(location_form, "Montréal, QUÉBEC")
+        assert table.resolve(location) == "QC"
+        assert naive_resolve(location, list(table.entries)) == "QC"
 
     def test_loose_mode_discriminators(self, states):
         assert states.resolve("COMPANY HQ") is None
