@@ -23,6 +23,7 @@ import os
 import shutil
 import sys
 from datetime import date
+from json.encoder import encode_basestring as _quote
 from types import SimpleNamespace
 
 from .corpus import (
@@ -181,20 +182,42 @@ def _load_tweets_file(path: str, args, table=None) -> tuple[list, SimpleNamespac
     )
 
 
+def _tweet_lines(tweets):
+    """Each tweet's line as json.dumps(record, ensure_ascii=False) writes
+    it, newline included, without building an encoder per line: strings
+    go through encode_basestring, the escaper json.dumps uses there."""
+    for tweet_id, text, timestamp, location, region in tweets:
+        region = "null" if region is None else _quote(region)
+        yield (
+            f'{{"id": {_quote(tweet_id)}, "text": {_quote(text)}, '
+            f'"timestamp": {_quote(format_timestamp(timestamp))}, '
+            f'"user_location": {_quote(location)}, "region": {region}}}\n'
+        )
+
+
 def cmd_ingest(args) -> int:
     tweets, report = _load_tweets_file(args.tweets, args)
     with _open_out(args.out) as out:
-        for tweet in tweets:
-            record = {
-                "id": tweet.id,
-                "text": tweet.text,
-                "timestamp": format_timestamp(tweet.timestamp),
-                "user_location": tweet.user_location,
-                "region": tweet.region,
-            }
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+        out.writelines(_tweet_lines(tweets))
     print(json.dumps({"ingest": vars(report)}), file=sys.stderr)
     return EXIT_OK
+
+
+def _ranking_lines(query_id: str, engine: str, day: date, rankings):
+    """One (query, engine, day) group's ranking rows, each as
+    json.dumps(record, ensure_ascii=False) writes it: positions from 1,
+    and each vote as float.__repr__, json's form for a finite float, or
+    null for the engine's own ranking, which has no votes. The keys up to
+    the provenance are the same on every row of the group."""
+    group = (
+        f'{{"query_id": {_quote(query_id)}, "engine": {_quote(engine)}, '
+        f'"date": {_quote(day.isoformat())}, "provenance": '
+    )
+    for ranking, votes in rankings:
+        head = f'{group}{_quote(ranking.provenance)}, "position": '
+        for position, news_id in enumerate(ranking.ids, start=1):
+            vote = "null" if votes is None else float.__repr__(votes[news_id])
+            yield f'{head}{position}, "news_id": {_quote(news_id)}, "vote": {vote}}}'
 
 
 def cmd_rerank(args) -> int:
@@ -249,18 +272,7 @@ def cmd_rerank(args) -> int:
                 news_vectors=news_vectors,
             )
             rankings.append((rerank(corpus_slice, votes), votes))
-        for ranking, votes in rankings:
-            for position, news_id in enumerate(ranking.ids, start=1):
-                record = {
-                    "query_id": query_id,
-                    "engine": engine,
-                    "date": day.isoformat(),
-                    "provenance": ranking.provenance,
-                    "position": position,
-                    "news_id": news_id,
-                    "vote": None if votes is None else votes[news_id],
-                }
-                lines.append(json.dumps(record, ensure_ascii=False))
+        lines.extend(_ranking_lines(query_id, engine, day, rankings))
     if not lines:
         raise InputDataError("nothing to rerank after filtering")
     with _open_out(args.out) as out:

@@ -109,7 +109,10 @@ class Tweet(namedtuple("Tweet", "id text timestamp user_location region")):
             raise ValueError(f"tweet {id} has empty text")
         if timestamp.tzinfo is None:
             raise ValueError(f"tweet {id} timestamp is naive")
-        timestamp = timestamp.astimezone(timezone.utc)
+        try:
+            timestamp = timestamp.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError(f"tweet {id} timestamp is out of range in UTC")
         return tuple.__new__(cls, (id, text, timestamp, user_location, region))
 
     def day(self) -> date:

@@ -11,18 +11,20 @@ import stat
 import subprocess
 import sys
 import threading
+from datetime import date, datetime, timedelta, timezone
 from importlib import resources
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ctvm
 from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
-from ctvm.corpus import format_timestamp
+from ctvm.corpus import Tweet, format_timestamp
 from ctvm.errors import ContractViolation
+from ctvm.voting import Ranking
 
 
 def read(path) -> str:
@@ -1657,6 +1659,127 @@ class TestPipelineEndToEnd:
             capsys, "report", "--rows", rows, "--out", report,
         )[0] == EXIT_OK
         assert read(report) == read(golden / "expected_report.txt")
+
+
+def test_escape_fixture_bytes(data_dir, tmp_path, capsys):
+    """Every written string field holds quotes, backslashes, control
+    characters, DEL, U+2028/U+2029, non-BMP, NFD or CJK text somewhere in
+    tests/data/escapes. Its expected files were written by
+    json.dumps(record, ensure_ascii=False), the writer the line templates
+    replace, and ingest reads its own output back to the same bytes."""
+    escapes = data_dir / "escapes"
+    enriched = tmp_path / "enriched.jsonl"
+    again = tmp_path / "again.jsonl"
+    rankings = tmp_path / "rankings.jsonl"
+    assert run(
+        capsys, "ingest", "--tweets", escapes / "tweets.jsonl", "--out", enriched,
+    )[0] == EXIT_OK
+    assert enriched.read_bytes() == (escapes / "expected_enriched.jsonl").read_bytes()
+    assert run(capsys, "ingest", "--tweets", enriched, "--out", again)[0] == EXIT_OK
+    assert again.read_bytes() == enriched.read_bytes()
+    assert run(
+        capsys, "rerank", "--tweets", enriched,
+        "--news", escapes / "news.jsonl",
+        "--queries", escapes / "queries.jsonl",
+        "--regions", "CA,NY", "--sim", "full-cosine", "--out", rankings,
+    )[0] == EXIT_OK
+    assert rankings.read_bytes() == (escapes / "expected_rankings.jsonl").read_bytes()
+
+
+# Text json escapes, or writes raw under ensure_ascii=False: quotes,
+# backslashes, every C0 control, DEL, U+2028/U+2029, a non-BMP emoji,
+# an NFD mark and CJK, mixed with any other non-surrogate character.
+JSON_TEXT = st.text(
+    st.sampled_from('"\\\x7f\u2028\u2029e\u0301\u6771\u4eac\U0001f600')
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(exclude_categories=["Cs"])
+)
+SPECIAL_VOTES = (0.0, 1.0, 0.1 + 0.2, 5e-324, 1e16)
+VOTES = st.sampled_from(SPECIAL_VOTES) | st.floats(
+    min_value=0.0, allow_nan=False, allow_infinity=False
+)
+EVERY_SPECIAL = (
+    '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u2028\u2029\U0001f600e\u0301\u6771"
+)
+
+
+class TestLineWriters:
+    """ingest and rerank write each line from a template; it must be the
+    line json.dumps(record, ensure_ascii=False) writes."""
+
+    @settings(max_examples=200)
+    @given(
+        tweet_id=JSON_TEXT,
+        text=JSON_TEXT,
+        timestamp=st.datetimes(
+            min_value=datetime(1, 1, 2),
+            max_value=datetime(9999, 12, 30),
+            timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=-8))]),
+        ),
+        location=JSON_TEXT,
+        region=st.none() | st.sampled_from(["CA", "NY", "TX"]),
+    )
+    @example(
+        EVERY_SPECIAL, EVERY_SPECIAL, datetime(2011, 12, 12, tzinfo=timezone.utc), "", None
+    )
+    def test_tweet_line(self, tweet_id, text, timestamp, location, region):
+        tweet = Tweet._make((tweet_id, text, timestamp, location, region))
+        record = {
+            "id": tweet_id,
+            "text": text,
+            "timestamp": format_timestamp(timestamp),
+            "user_location": location,
+            "region": region,
+        }
+        line = json.dumps(record, ensure_ascii=False) + "\n"
+        assert list(cli._tweet_lines([tweet])) == [line]
+
+    @settings(max_examples=200)
+    @given(
+        query_id=JSON_TEXT,
+        engine=JSON_TEXT,
+        day=st.dates(),
+        rankings=st.lists(
+            st.tuples(
+                JSON_TEXT.filter(bool),
+                st.lists(st.tuples(JSON_TEXT, VOTES), unique_by=lambda p: p[0]),
+                st.booleans(),
+            ),
+            max_size=3,
+        ),
+    )
+    @example(
+        EVERY_SPECIAL,
+        EVERY_SPECIAL,
+        date(2011, 12, 12),
+        [
+            ("engine", [(EVERY_SPECIAL, 0.0)], False),
+            (EVERY_SPECIAL, [(f"n{i}", v) for i, v in enumerate(SPECIAL_VOTES)], True),
+        ],
+    )
+    def test_ranking_lines(self, query_id, engine, day, rankings):
+        group = [
+            (Ranking(tuple(news_id for news_id, _ in scored), provenance),
+             dict(scored) if voted else None)
+            for provenance, scored, voted in rankings
+        ]
+        lines = [
+            json.dumps(
+                {
+                    "query_id": query_id,
+                    "engine": engine,
+                    "date": day.isoformat(),
+                    "provenance": ranking.provenance,
+                    "position": position,
+                    "news_id": news_id,
+                    "vote": None if votes is None else votes[news_id],
+                },
+                ensure_ascii=False,
+            )
+            for ranking, votes in group
+            for position, news_id in enumerate(ranking.ids, start=1)
+        ]
+        assert list(cli._ranking_lines(query_id, engine, day, group)) == lines
 
 
 class TestByteOrderMark:

@@ -6,7 +6,7 @@ constructor, with the messages pinned here."""
 from __future__ import annotations
 
 import pickle
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
@@ -107,6 +107,7 @@ def test_named_tuple_records_equal_the_tuple_of_their_fields(cls):
 
 
 NAIVE = datetime(2011, 12, 12)
+HOUR = timedelta(hours=1)
 
 
 @pytest.mark.parametrize(
@@ -125,6 +126,14 @@ NAIVE = datetime(2011, 12, 12)
         (lambda: Tweet("", "hi", NAIVE), "tweet id is empty"),
         (lambda: Tweet("t1", " \n", NAIVE), "tweet t1 has empty text"),
         (lambda: Tweet("t1", "hi", NAIVE), "tweet t1 timestamp is naive"),
+        (
+            lambda: Tweet("t1", "hi", datetime(1, 1, 1, tzinfo=timezone(HOUR))),
+            "tweet t1 timestamp is out of range in UTC",
+        ),
+        (
+            lambda: Tweet("t1", "hi", datetime.max.replace(tzinfo=timezone(-HOUR))),
+            "tweet t1 timestamp is out of range in UTC",
+        ),
         (lambda: NewsDoc("", "q", "e", 1, "T", date.min), "news id is empty"),
         (lambda: NewsDoc("n1", "", "e", 1, "T", date.min), "news n1 has no query_id"),
         (lambda: NewsDoc("n1", "q", "", 1, "T", date.min), "news n1 has no engine"),
