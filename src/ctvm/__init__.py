@@ -35,7 +35,7 @@ from .judgments import (
 from .porter import stem
 from .similarity import cosine
 from .textproc import Pipeline, load_stopwords, to_vector, tokenize
-from .voting import Ranking, engine_ranking, rerank, vote
+from .voting import engine_ranking, rerank, vote
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "NewsDoc",
     "Pipeline",
     "Query",
-    "Ranking",
     "RegionTable",
     "RelevanceLookup",
     "Tweet",

@@ -40,6 +40,7 @@ from .errors import ContractViolation, CtvmError, EvalError, InputDataError, rea
 from .evaluation import (
     EvalRow,
     NdcgConfig,
+    PROVENANCE_ENGINE,
     VARIANT_LITERAL,
     VARIANT_STANDARD,
     compare,
@@ -50,13 +51,7 @@ from .geofilter import load_region_table
 from .judgments import aggregate, load_judgment_records
 from .similarity import MODE_COMMON_SET, SIM_MODES
 from .textproc import Pipeline, load_stopwords
-from .voting import (
-    PROVENANCE_ENGINE,
-    Ranking,
-    engine_ranking,
-    rerank,
-    vote,
-)
+from .voting import engine_ranking, rerank, vote
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -204,18 +199,18 @@ def cmd_ingest(args) -> int:
 
 
 def _ranking_lines(query_id: str, engine: str, day: date, rankings):
-    """One (query, engine, day) group's ranking rows, each as
-    json.dumps(record, ensure_ascii=False) writes it: positions from 1,
-    and each vote as float.__repr__, json's form for a finite float, or
-    null for the engine's own ranking, which has no votes. The keys up to
-    the provenance are the same on every row of the group."""
+    """The rows of one (query, engine, day) group's (provenance, ids,
+    votes) rankings, each as json.dumps(record, ensure_ascii=False) writes
+    it: positions from 1, and each vote as float.__repr__, json's form for
+    a finite float, or null for the engine's own ranking, which has no
+    votes. The keys up to the provenance are the same on every row."""
     group = (
         f'{{"query_id": {_quote(query_id)}, "engine": {_quote(engine)}, '
         f'"date": {_quote(day.isoformat())}, "provenance": '
     )
-    for ranking, votes in rankings:
-        head = f'{group}{_quote(ranking.provenance)}, "position": '
-        for position, news_id in enumerate(ranking.ids, start=1):
+    for provenance, ids, votes in rankings:
+        head = f'{group}{_quote(provenance)}, "position": '
+        for position, news_id in enumerate(ids, start=1):
             vote = "null" if votes is None else float.__repr__(votes[news_id])
             yield f'{head}{position}, "news_id": {_quote(news_id)}, "vote": {vote}}}'
 
@@ -257,13 +252,14 @@ def cmd_rerank(args) -> int:
                 f"news references query {query_id!r} missing from {args.queries}"
             )
         pipeline = Pipeline(stopwords=stopwords, query_terms=query.terms())
-        rankings = [(engine_ranking(group), None)]
+        slices = [
+            slice_corpus(buckets.get((r, day), ()), group, query, r, day, engine)
+            for r in args.regions
+        ]
+        rankings = [(PROVENANCE_ENGINE, engine_ranking(slices[0]), None)]
         # every region ranks this group's docs, so each is vectorized once
         news_vectors: dict = {}
-        for region in args.regions:
-            corpus_slice = slice_corpus(
-                buckets.get((region, day), ()), group, query, region, day, engine
-            )
+        for corpus_slice in slices:
             votes = vote(
                 corpus_slice,
                 pipeline,
@@ -271,7 +267,8 @@ def cmd_rerank(args) -> int:
                 include_snippet=args.include_snippet,
                 news_vectors=news_vectors,
             )
-            rankings.append((rerank(corpus_slice, votes), votes))
+            provenance = f"ctvm({corpus_slice.region})"
+            rankings.append((provenance, rerank(corpus_slice, votes), votes))
         lines.extend(_ranking_lines(query_id, engine, day, rankings))
     if not lines:
         raise InputDataError("nothing to rerank after filtering")
@@ -285,8 +282,8 @@ _RANKING_FIELDS = dict(
 )
 
 
-def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, Ranking]]]]:
-    """Group ranking rows into ((engine, provenance), [(query id, Ranking)])
+def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, tuple]]]]:
+    """Group ranking rows into ((engine, provenance), [(query id, ids)])
     pairs, one unit per (query, date), in eval's output order: by engine,
     its own ranking first, then other provenances; units by query."""
     rows: dict[tuple[str, str, str, str], list[tuple[int, str]]] = {}
@@ -302,19 +299,22 @@ def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, Ran
             record["provenance"],
         )
         rows.setdefault(key, []).append((record["position"], record["news_id"]))
-    grouped: dict[tuple[str, str], list[tuple[str, Ranking]]] = {}
+    grouped: dict[tuple[str, str], list[tuple[str, tuple]]] = {}
     for (query_id, engine, day, provenance), entries in sorted(rows.items()):
         entries.sort()
+        ids = tuple(news_id for _, news_id in entries)
         try:
             for position, (pos, _) in enumerate(entries, start=1):
                 if pos != position:
                     raise ValueError(f"positions must run 1..n; saw {pos} at {position}")
-            ranking = Ranking(tuple(news_id for _, news_id in entries), provenance)
+            if len(set(ids)) < len(ids):
+                repeated = next(n for i, n in enumerate(ids) if n in ids[:i])
+                raise ValueError(f"duplicate news id in ranking: {repeated}")
         except ValueError as exc:
             raise InputDataError(
                 f"rankings for {query_id}/{engine}/{day}/{provenance}: {exc}"
             )
-        grouped.setdefault((engine, provenance), []).append((query_id, ranking))
+        grouped.setdefault((engine, provenance), []).append((query_id, ids))
     if not grouped:
         raise InputDataError(f"no ranking rows in {path}")
     return sorted(
@@ -356,7 +356,7 @@ def cmd_eval(args) -> int:
         groups, lookup, regions, config, require_complete=args.require_complete
     )
     for r, region in enumerate(regions):
-        for (engine, provenance), units, (_, _, counts, _) in zip(keys, groups, results):
+        for (engine, provenance), units, (_, counts, _) in zip(keys, groups, results):
             if not counts[r]:
                 raise EvalError(
                     f"no evaluable queries for {engine}/{provenance} in region "
@@ -369,7 +369,7 @@ def cmd_eval(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(EVAL_COLUMNS)
         for r, region in enumerate(regions):
-            for (engine, _), (provenance, means, counts, _) in zip(keys, results):
+            for (engine, provenance), (means, counts, _) in zip(keys, results):
                 writer.writerows(
                     _eval_cells(region, engine, provenance, k, column[r], counts[r])
                     for k, column in zip(config.cutoffs, means)
@@ -422,7 +422,19 @@ def _eval_rows(reader, path: str) -> list[tuple[str, str, EvalRow]]:
     return rows
 
 
+def _same_out_file(a: str, b: str) -> bool:
+    """Whether two output paths, neither stdout, name one file: by inode
+    when both exist, else by real path, which sees through symlinks."""
+    if any(p == "-" or _is_stdout(p) for p in (a, b)):
+        return False
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_report(args) -> int:
+    if args.csv and _same_out_file(args.out, args.csv):
+        raise ContractViolation(f"--out and --csv name the same file: {args.csv}")
     rows = _read_eval_rows(args.rows)
     groups: dict[tuple[str, str], list[EvalRow]] = {}
     for region, engine, row in rows:

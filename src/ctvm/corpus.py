@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 from datetime import date, datetime, timezone
 from types import SimpleNamespace
-from typing import Iterable
 
 from .errors import InputDataError
 from .geofilter import RegionTable
@@ -167,20 +167,26 @@ def slice_corpus(
     engine: str,
 ) -> CorpusSlice:
     """Select and order one slice's tweets and news. This is the one
-    place that decides slice membership; it raises InputDataError when
-    the engine's news for the cell is not a contiguous top-k list."""
+    place that decides slice membership; it raises InputDataError unless
+    the engine's news for the cell ranks 1..k with distinct news ids."""
     docs = [
         n
         for n in news
         if n.query_id == query.id and n.engine == engine and n.retrieved_date == day
     ]
     docs.sort(key=lambda n: n.original_rank)
+    seen: set[str] = set()
     for position, doc in enumerate(docs, start=1):
         if doc.original_rank != position:
             raise InputDataError(
                 f"news for {query.id}/{engine}/{day} is not a contiguous top-k "
                 f"list: saw rank {doc.original_rank} at position {position}"
             )
+        if doc.id in seen:
+            raise InputDataError(
+                f"news for {query.id}/{engine}/{day} repeats news id {doc.id}"
+            )
+        seen.add(doc.id)
     picked = [
         t
         for t in tweets

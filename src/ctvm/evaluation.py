@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, compress, repeat
 from operator import add, truediv
-from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractViolation, EvalError
 from .judgments import RelevanceLookup
-from .voting import PROVENANCE_ENGINE, Ranking
 
+PROVENANCE_ENGINE = "engine"  # the baseline compare marks the others against
 VARIANT_STANDARD = "standard"
 VARIANT_LITERAL = "literal"
 
@@ -108,22 +108,21 @@ EvalRow = namedtuple(
 
 
 def ndcg_columns(
-    groups: Sequence[Sequence[tuple[str, Ranking]]],
+    groups: Sequence[Sequence[tuple[str, tuple[str, ...]]]],
     lookup: RelevanceLookup,
     regions: Sequence[str],
     config: NdcgConfig = DEFAULT_CONFIG,
-) -> Iterator[tuple[str, list[tuple[str, list[int], list[list[float]]]]]]:
+) -> Iterator[list[tuple[str, list[int], list[list[float]]]]]:
     """Each ranking scored under every region in one pass: for each
-    group (query instances paired with rankings of one provenance), in
-    order, (provenance, [(query_id, unjudged, values)]), one triple per
-    ranking. unjudged[r] counts its docs regions[r] did not judge, and
-    values[c][r] is exactly ndcg of its relevances there (0 where
-    unjudged) at config.cutoffs[c]."""
+    group of (query id, ranked news ids) units, in order, one
+    (query_id, unjudged, values) triple per unit. unjudged[r] counts its
+    docs regions[r] did not judge, and values[c][r] is exactly ndcg of
+    its relevances there (0 where unjudged) at config.cutoffs[c]."""
     if isinstance(regions, str) or not regions:
         raise ContractViolation(f"need a list of region codes, got {regions!r}")
     cutoffs = config.cutoffs
     region_cells = [lookup.region_cells(region) for region in regions]
-    longest = max((len(r.ids) for units in groups for _, r in units), default=0)
+    longest = max((len(ids) for units in groups for _, ids in units), default=0)
     # discounts[i] divides the gain at position i + 1; the literal
     # variant has none, and x / 1.0 == x exactly
     discounts = [
@@ -137,15 +136,8 @@ def ndcg_columns(
     for units in groups:
         if not units:
             raise EvalError(f"no rankings to evaluate for region {regions[0]}")
-        provenances = {ranking.provenance for _, ranking in units}
-        if len(provenances) != 1:
-            raise ContractViolation(
-                f"mean_ndcg expects one provenance, got {sorted(provenances)}"
-            )
-        provenance = provenances.pop()
         scored = []
-        for query_id, ranking in units:
-            ids = ranking.ids
+        for query_id, ids in units:
             unit_key = (query_id, frozenset(ids))
             unit = unit_table.get(unit_key)
             if unit is None:
@@ -176,19 +168,20 @@ def ndcg_columns(
                 done = i
                 values.append(list(map(min, repeat(1.0), map(truediv, prefix, ideal))))
             scored.append((query_id, unjudged, values))
-        yield provenance, scored
+        yield scored
 
 
 def mean_ndcg(
-    groups: Sequence[Sequence[tuple[str, Ranking]]],
+    groups: Sequence[Sequence[tuple[str, tuple[str, ...]]]],
     lookup: RelevanceLookup,
     regions: Sequence[str],
     config: NdcgConfig = DEFAULT_CONFIG,
     *,
     require_complete: bool = False,
-) -> list[tuple[str, list[list[float]], list[int], list[int]]]:
-    """Mean NDCG of each group under each region's judgments: one
-    (provenance, means, counts, misses) per group, in order. means[c][r]
+) -> list[tuple[list[list[float]], list[int], list[int]]]:
+    """Mean NDCG of each group of (query id, ranked news ids) units
+    under each region's judgments: one (means, counts, misses) per
+    group, in order. means[c][r]
     is the mean at config.cutoffs[c] over the counts[r] queries scored
     under regions[r]; misses[r] counts their unjudged docs, scored 0.
 
@@ -198,7 +191,7 @@ def mean_ndcg(
     unit order.
     """
     results = []
-    for provenance, scored in ndcg_columns(groups, lookup, regions, config):
+    for scored in ndcg_columns(groups, lookup, regions, config):
         unjudged = list(zip(*(unjudged for _, unjudged, _ in scored)))
         kept = [[not (require_complete and n) for n in m] for m in unjudged]
         counts = list(map(sum, kept))
@@ -210,7 +203,7 @@ def mean_ndcg(
             for column in zip(*(values for _, _, values in scored))
         ]
         misses = [sum(compress(m, keep)) for m, keep in zip(unjudged, kept)]
-        results.append((provenance, means, counts, misses))
+        results.append((means, counts, misses))
     return results
 
 
@@ -257,12 +250,8 @@ def format_table(rows: Sequence[EvalRow], heading: str = "") -> str:
     by_provenance: dict[str, dict[int, EvalRow]] = {}
     for row in rows:
         by_provenance.setdefault(row.provenance, {})[row.cutoff] = row
-    order = sorted(
-        by_provenance,
-        key=lambda p: (p != PROVENANCE_ENGINE, p),
-    )
-    name_width = max(len(p) for p in order)
-    name_width = max(name_width, len("ranking"))
+    order = sorted(by_provenance, key=lambda p: (p != PROVENANCE_ENGINE, p))
+    name_width = max(len("ranking"), *map(len, order))
     # widest cell content is "x.xxxx*"; +1 keeps a gap between columns
     cell_width = max(7, *(len(f"NDCG@{k}") for k in cutoffs)) + 1
     lines = []

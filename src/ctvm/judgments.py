@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from enum import IntEnum
 from types import SimpleNamespace
-from typing import Iterable
 
 from .corpus import _parse_record, _record_lines
 

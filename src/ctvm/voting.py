@@ -8,9 +8,6 @@ reproduces the engine ranking exactly.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import Sequence
-
 from .corpus import CorpusSlice, NewsDoc
 from .errors import ContractViolation, EmptySliceError
 # vote's per-pair call skips the public cosine's checks: its vectors come
@@ -72,36 +69,13 @@ def vote(
     return {doc.id: total for doc, total in zip(corpus_slice.news, totals)}
 
 
-class Ranking(namedtuple("Ranking", "ids provenance")):
-    """News ids in ranked order, best first, with a provenance tag."""
-
-    __slots__ = ()
-
-    def __new__(cls, ids: tuple[str, ...], provenance: str) -> Ranking:
-        if not provenance:
-            raise ValueError("ranking needs a provenance tag")
-        seen: set[str] = set()
-        for news_id in ids:
-            if news_id in seen:
-                raise ValueError(f"duplicate news id in ranking: {news_id}")
-            seen.add(news_id)
-        return tuple.__new__(cls, (ids, provenance))
+def engine_ranking(corpus_slice: CorpusSlice) -> tuple[str, ...]:
+    """The slice's news ids in engine rank order, as slice_corpus left them."""
+    return tuple(doc.id for doc in corpus_slice.news)
 
 
-PROVENANCE_ENGINE = "engine"
-
-
-def provenance_for_region(region: str | None) -> str:
-    return f"ctvm({region})" if region else "ctvm"
-
-
-def engine_ranking(news: Sequence[NewsDoc]) -> Ranking:
-    ordered = sorted(news, key=lambda d: d.original_rank)
-    return Ranking(tuple(doc.id for doc in ordered), PROVENANCE_ENGINE)
-
-
-def rerank(corpus_slice: CorpusSlice, votes: dict[str, float]) -> Ranking:
-    """Order the slice's news by descending vote; engine rank breaks ties."""
+def rerank(corpus_slice: CorpusSlice, votes: dict[str, float]) -> tuple[str, ...]:
+    """The slice's news ids by descending vote; engine rank breaks ties."""
     news = corpus_slice.news
     unmatched = votes.keys() ^ {doc.id for doc in news}
     if unmatched:
@@ -109,5 +83,4 @@ def rerank(corpus_slice: CorpusSlice, votes: dict[str, float]) -> Ranking:
             f"votes do not match the slice's news at {min(unmatched)}"
         )
     ordered = sorted(news, key=lambda d: (-votes[d.id], d.original_rank))
-    ids = tuple(doc.id for doc in ordered)
-    return Ranking(ids, provenance_for_region(corpus_slice.region))
+    return tuple(doc.id for doc in ordered)

@@ -150,10 +150,10 @@ def naive_ndcg(
     return naive_dcg(relevances, k, variant, gain) / best
 
 
-def ranking_relevances(ranking, lookup, query_id: str, region: str) -> list[float]:
+def ranking_relevances(ids, lookup, query_id: str, region: str) -> list[float]:
     """Relevance of each ranked doc under one region's judgments, 0.0
     where unjudged: the per-doc reads that mean_ndcg batches."""
-    return [lookup.get(query_id, news_id, region) for news_id in ranking.ids]
+    return [lookup.get(query_id, news_id, region) for news_id in ids]
 
 
 def naive_resolve(

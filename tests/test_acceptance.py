@@ -176,7 +176,7 @@ def test_04_rerank_matches_sort_reference_exactly():
             values,
         )
         corpus_slice = CorpusSlice(QUERY_QQ, "CA", DAY, "google", (), tuple(news))
-        assert list(rerank(corpus_slice, votes).ids) == expected
+        assert list(rerank(corpus_slice, votes)) == expected
     report("PASS 4: 1000 tie-heavy rerank cases matched the reference exactly")
 
 

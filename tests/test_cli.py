@@ -24,7 +24,6 @@ from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
 from ctvm.corpus import Tweet, format_timestamp
 from ctvm.errors import ContractViolation
-from ctvm.voting import Ranking
 
 
 def read(path) -> str:
@@ -218,6 +217,21 @@ class TestRerank:
         )
         assert code == EXIT_OK
         assert read(out) == read(golden / "expected_rankings.jsonl")
+
+    @pytest.mark.parametrize("regions", ["CA,NY,TX", "TX,CA"])
+    def test_provenance_labels(self, regions, data_dir, capsys):
+        """Each group writes the engine's ranking, then one ctvm(region)
+        ranking per --regions code, in the order given."""
+        tri = data_dir / "tri_region"
+        code, out, _ = run(
+            capsys, "rerank", "--tweets", tri / "tweets.jsonl", "--news",
+            tri / "news.jsonl", "--queries", tri / "queries.jsonl",
+            "--regions", regions, "--out", "-",
+        )
+        assert code == EXIT_OK
+        provenances = [json.loads(line)["provenance"] for line in out.splitlines()]
+        labels = ["engine"] + [f"ctvm({region})" for region in regions.split(",")]
+        assert provenances == [label for label in labels for _ in range(5)]
 
     def test_enriched_input_gives_same_rankings(self, golden, tmp_path, capsys):
         out = tmp_path / "rankings.jsonl"
@@ -862,7 +876,13 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("query_id", 5), ("provenance", ["a"]), ("date", None), ("position", True)],
+        [
+            ("query_id", 5),
+            ("provenance", ["a"]),
+            ("provenance", ""),
+            ("date", None),
+            ("position", True),
+        ],
     )
     def test_mistyped_ranking_field_exits_one(
         self, field, value, golden, tmp_path, capsys
@@ -884,23 +904,18 @@ class TestEval:
         assert code == EXIT_INPUT
         assert err.startswith(f"error: bad ranking row on line 2: {field} ")
 
-    def test_ranking_row_order_does_not_matter(self, golden, tmp_path, capsys):
-        lines = read(golden / "expected_rankings.jsonl").splitlines()
-        rankings = tmp_path / "rankings.jsonl"
-        write_lines(rankings, lines[::-1])
-        out = tmp_path / "rows.csv"
-        code, _, _ = run(
-            capsys,
-            "eval",
-            "--rankings",
-            rankings,
-            "--judgments",
-            golden / "judgments.jsonl",
-            "--out",
-            out,
-        )
-        assert code == EXIT_OK
-        assert out.read_bytes() == (golden / "expected_rows.csv").read_bytes()
+    def test_ranking_row_order_does_not_matter(self, data_dir, tmp_path, capsys):
+        for fixture in (data_dir / "golden", data_dir / "tri_region"):
+            lines = read(fixture / "expected_rankings.jsonl").splitlines()
+            rankings = tmp_path / "rankings.jsonl"
+            write_lines(rankings, lines[::-1])
+            out = tmp_path / "rows.csv"
+            code, _, _ = run(
+                capsys, "eval", "--rankings", rankings,
+                "--judgments", fixture / "judgments.jsonl", "--out", out,
+            )
+            assert code == EXIT_OK
+            assert out.read_bytes() == (fixture / "expected_rows.csv").read_bytes()
 
 
 def test_failed_write_keeps_existing_out(golden, tmp_path, capsys, monkeypatch):
@@ -1096,6 +1111,43 @@ class TestReport:
         assert code == EXIT_OK
         assert read(out) == read(golden / "expected_report.txt")
         assert read(marked) == read(golden / "expected_marked.csv")
+
+    @pytest.mark.parametrize("kind", ["same path", "new path", "symlink", "hard link"])
+    def test_csv_naming_the_out_file_exits_two(self, kind, golden, tmp_path, capsys):
+        """--csv naming --out's file by the same path, a symlink or a
+        hard link is a usage error: the CSV would overwrite the tables.
+        Nothing is written, so an existing file keeps its bytes."""
+        out = tmp_path / "report.txt"
+        if kind != "new path":
+            out.write_text("from an earlier run\n")
+        other = tmp_path / "marked.csv"
+        if kind == "symlink":
+            other.symlink_to(out)
+        elif kind == "hard link":
+            os.link(out, other)
+        else:
+            other = out
+        code, stdout, err = run(
+            capsys, "report", "--rows", golden / "expected_rows.csv",
+            "--out", out, "--csv", other,
+        )
+        assert code == EXIT_CONTRACT
+        assert stdout == ""
+        assert err == f"error: --out and --csv name the same file: {other}\n"
+        if kind != "new path":
+            assert read(out) == "from an earlier run\n"
+        names = set() if kind == "new path" else {out.name, other.name}
+        assert {p.name for p in tmp_path.iterdir()} == names
+
+    def test_csv_and_out_may_both_be_stdout(self, golden, capsys):
+        code, out, err = run(
+            capsys, "report", "--rows", golden / "expected_rows.csv",
+            "--out", "-", "--csv", "-",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == read(golden / "expected_report.txt") + read(
+            golden / "expected_marked.csv"
+        )
 
     def test_stdout_default(self, golden, capsys):
         code, out, _ = run(
@@ -1661,6 +1713,30 @@ class TestPipelineEndToEnd:
         assert read(report) == read(golden / "expected_report.txt")
 
 
+def test_tri_region_pipeline_bytes(data_dir, tmp_path, capsys):
+    """Three regions rank the same five docs, so eval regroups four
+    provenances (the engine's and one ctvm(region) each) under three
+    regions' judges. Every stage's output is pinned, and no stage writes
+    to stdout or stderr."""
+    tri = data_dir / "tri_region"
+    rankings = tmp_path / "rankings.jsonl"
+    rows = tmp_path / "rows.csv"
+    report = tmp_path / "report.txt"
+    marked = tmp_path / "marked.csv"
+    for argv in (
+        ["rerank", "--tweets", tri / "tweets.jsonl", "--news", tri / "news.jsonl",
+         "--queries", tri / "queries.jsonl", "--regions", "CA,NY,TX",
+         "--out", rankings],
+        ["eval", "--rankings", rankings, "--judgments", tri / "judgments.jsonl",
+         "--out", rows],
+        ["report", "--rows", rows, "--out", report, "--csv", marked],
+    ):
+        assert run(capsys, *argv) == (EXIT_OK, "", "")
+    for written in (rankings, rows, report, marked):
+        expected = tri / f"expected_{written.name}"
+        assert written.read_bytes() == expected.read_bytes(), written.name
+
+
 def test_escape_fixture_bytes(data_dir, tmp_path, capsys):
     """Every written string field holds quotes, backslashes, control
     characters, DEL, U+2028/U+2029, non-BMP, NFD or CJK text somewhere in
@@ -1759,7 +1835,7 @@ class TestLineWriters:
     )
     def test_ranking_lines(self, query_id, engine, day, rankings):
         group = [
-            (Ranking(tuple(news_id for news_id, _ in scored), provenance),
+            (provenance, tuple(news_id for news_id, _ in scored),
              dict(scored) if voted else None)
             for provenance, scored, voted in rankings
         ]
@@ -1769,15 +1845,15 @@ class TestLineWriters:
                     "query_id": query_id,
                     "engine": engine,
                     "date": day.isoformat(),
-                    "provenance": ranking.provenance,
+                    "provenance": provenance,
                     "position": position,
                     "news_id": news_id,
                     "vote": None if votes is None else votes[news_id],
                 },
                 ensure_ascii=False,
             )
-            for ranking, votes in group
-            for position, news_id in enumerate(ranking.ids, start=1)
+            for provenance, ids, votes in group
+            for position, news_id in enumerate(ids, start=1)
         ]
         assert list(cli._ranking_lines(query_id, engine, day, group)) == lines
 

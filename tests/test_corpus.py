@@ -684,6 +684,13 @@ class TestSliceInvariants:
         ):
             slice_corpus([], news, QUERY, "CA", DAY, "google")
 
+    def test_repeated_news_id_rejected(self):
+        news = [make_news("n1", rank=1), make_news("n1", rank=2)]
+        with pytest.raises(
+            InputDataError, match="obama/google/2011-12-12 repeats news id n1"
+        ):
+            slice_corpus([], news, QUERY, "CA", DAY, "google")
+
     def test_empty_slice_is_fine(self):
         sliced = CorpusSlice(QUERY, "CA", DAY, "google", (), ())
         assert sliced.tweets == () and sliced.news == ()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -20,7 +21,6 @@ from ctvm.evaluation import (
     ndcg_columns,
 )
 from ctvm.judgments import JudgmentRecord, RelevanceLookup, aggregate
-from ctvm.voting import Ranking
 
 from oracles import naive_dcg, naive_mean, naive_ndcg, ranking_relevances
 
@@ -180,18 +180,17 @@ class TestRankingRelevances:
         lookup = lookup_for(
             {("q", "a", "CA"): 3, ("q", "b", "CA"): 1, ("q", "a", "NY"): 2}
         )
-        ranking = Ranking(("b", "a", "zz"), "engine")
-        assert ranking_relevances(ranking, lookup, "q", "CA") == [1.0, 3.0, 0.0]
+        assert ranking_relevances(("b", "a", "zz"), lookup, "q", "CA") == [1.0, 3.0, 0.0]
 
 
-def ranked(ids: list[str], provenance: str) -> Ranking:
-    return Ranking(tuple(ids), provenance)
+# one mean of mean_ndcg's results
+Mean = namedtuple("Mean", "cutoff mean_ndcg n_queries")
 
 
 def region_rows(
     groups, lookup, regions, config=DEFAULT_CONFIG, require_complete=False
 ):
-    """mean_ndcg's means as EvalRows: for each region, one (rows, misses)
+    """mean_ndcg's means as Means: for each region, one (rows, misses)
     pair per group."""
     results = mean_ndcg(
         groups, lookup, regions, config, require_complete=require_complete
@@ -199,13 +198,11 @@ def region_rows(
     return [
         [
             (
-                [
-                    EvalRow(provenance, k, column[r], counts[r])
-                    for k, column in zip(config.cutoffs, means)
-                ],
+                [Mean(k, means_at_k[r], counts[r])
+                 for k, means_at_k in zip(config.cutoffs, means)],
                 misses[r],
             )
-            for provenance, means, counts, misses in results
+            for means, counts, misses in results
         ]
         for r in range(len(regions))
     ]
@@ -225,7 +222,7 @@ def column_scores(
                 for query_id, unjudged, values in scored
                 if not (require_complete and unjudged[r])
             ]
-            for _, scored in columns
+            for scored in columns
         ]
         for r in range(len(regions))
     ]
@@ -242,24 +239,20 @@ class TestMeanNdcg:
 
     def test_single_query(self):
         lookup = lookup_for(self.CELLS)
-        units = [("q1", ranked(["a", "b", "c"], "engine"))]
+        units = [("q1", ("a", "b", "c"))]
         [[(rows, misses)]] = region_rows(
             [units], lookup, ["CA"], NdcgConfig(cutoffs=(3,))
         )
         [[scores]] = column_scores([units], lookup, ["CA"], NdcgConfig(cutoffs=(3,)))
-        assert rows == [
-            EvalRow(
-                provenance="engine", cutoff=3, mean_ndcg=1.0, n_queries=1
-            )
-        ]
+        assert rows == [Mean(cutoff=3, mean_ndcg=1.0, n_queries=1)]
         assert scores == [("q1", [1.0])]
         assert misses == 0
 
     def test_mean_over_queries_per_cutoff(self):
         lookup = lookup_for(self.CELLS)
         units = [
-            ("q1", ranked(["a", "b", "c"], "engine")),
-            ("q2", ranked(["d", "e"], "engine")),
+            ("q1", ("a", "b", "c")),
+            ("q2", ("d", "e")),
         ]
         [[(rows, _)]] = region_rows(
             [units], lookup, ["CA"], NdcgConfig(cutoffs=(2, 3))
@@ -276,7 +269,7 @@ class TestMeanNdcg:
 
     def test_unjudged_docs_score_zero_by_default(self):
         lookup = lookup_for(self.CELLS)
-        units = [("q1", ranked(["a", "zz"], "engine"))]
+        units = [("q1", ("a", "zz"))]
         [[(rows, misses)]] = region_rows(
             [units], lookup, ["CA"], NdcgConfig(cutoffs=(2,))
         )
@@ -286,8 +279,8 @@ class TestMeanNdcg:
     def test_require_complete_skips_partial_queries(self):
         lookup = lookup_for(self.CELLS)
         units = [
-            ("q1", ranked(["a", "b"], "engine")),
-            ("q2", ranked(["d", "zz"], "engine")),
+            ("q1", ("a", "b")),
+            ("q2", ("d", "zz")),
         ]
         [[(rows, misses)]] = region_rows(
             [units],
@@ -305,30 +298,21 @@ class TestMeanNdcg:
 
     def test_require_complete_can_exhaust(self):
         lookup = lookup_for(self.CELLS)
-        units = [("q1", ranked(["a", "zz"], "engine"))]
-        [(provenance, means, counts, misses)] = mean_ndcg(
+        units = [("q1", ("a", "zz"))]
+        [(means, counts, misses)] = mean_ndcg(
             [units],
             lookup,
             ["CA"],
             NdcgConfig(cutoffs=(2,)),
             require_complete=True,
         )
-        assert (provenance, counts, misses) == ("engine", [0], [0])
+        assert (counts, misses) == ([0], [0])
         [[mean]] = means
         assert math.isnan(mean)
 
     def test_no_units_rejected(self):
         with pytest.raises(EvalError, match="no rankings"):
             mean_ndcg([[]], lookup_for(self.CELLS), ["CA"])
-
-    def test_mixed_provenance_rejected(self):
-        lookup = lookup_for(self.CELLS)
-        units = [
-            ("q1", ranked(["a"], "engine")),
-            ("q2", ranked(["d"], "ctvm(CA)")),
-        ]
-        with pytest.raises(ContractViolation, match="provenance"):
-            mean_ndcg([units], lookup, ["CA"])
 
     @settings(phases=NO_SHRINK)
     @given(st.permutations(range(6)))
@@ -338,7 +322,7 @@ class TestMeanNdcg:
         }
         lookup = lookup_for({k: v for k, v in cells.items() if v})
         units = [
-            ("q%d" % i, ranked(["n%d" % i, "x%d" % i], "engine"))
+            ("q%d" % i, ("n%d" % i, "x%d" % i))
             for i in range(6)
         ]
         [[(baseline_rows, _)]] = region_rows(
@@ -373,20 +357,15 @@ QUERY_IDS = st.sampled_from(("q0", "q1", "q9"))
 def permuted_copy(unit):
     """Another ranking of the unit's doc set, as every provenance of one
     (query, engine, date) gives, under its query or another one."""
-    query_id, ranking = unit
-    return st.tuples(
-        st.just(query_id) | QUERY_IDS,
-        st.permutations(ranking.ids).map(lambda ids: ranked(ids, "ctvm(CA)")),
-    )
+    query_id, ids = unit
+    return st.tuples(st.just(query_id) | QUERY_IDS, st.permutations(ids).map(tuple))
 
 
 UNITS = st.lists(
     st.tuples(
         QUERY_IDS,
         st.permutations(NEWS_IDS).flatmap(
-            lambda ids: st.integers(0, len(ids)).map(
-                lambda n: ranked(list(ids[:n]), "ctvm(CA)")
-            )
+            lambda ids: st.integers(0, len(ids)).map(lambda n: tuple(ids[:n]))
         ),
     ),
     min_size=1,
@@ -420,15 +399,13 @@ def reference_scores(units, cells, region, config, require_complete):
     lookup = lookup_of(cells)
     kept = []
     misses = 0
-    for query_id, ranking in units:
-        unjudged = sum(
-            not lookup.contains(query_id, n, region) for n in ranking.ids
-        )
+    for query_id, ids in units:
+        unjudged = sum(not lookup.contains(query_id, n, region) for n in ids)
         if require_complete and unjudged:
             continue
         misses += unjudged
         kept.append(
-            (query_id, ranking_relevances(ranking, lookup, query_id, region))
+            (query_id, ranking_relevances(ids, lookup, query_id, region))
         )
     scores = [
         (query_id, [ndcg(relevances, k, config) for k in config.cutoffs])
@@ -482,9 +459,9 @@ class TestMeanNdcgExactness:
             ("q1", "c", "CA"): 2.0,
         }
         units = [
-            ("q1", ranked(["x", "a", "b", "c"], "engine")),
-            ("q1", ranked(["b", "c"], "engine")),
-            ("q1", ranked(["c", "a", "x", "b"], "engine")),
+            ("q1", ("x", "a", "b", "c")),
+            ("q1", ("b", "c")),
+            ("q1", ("c", "a", "x", "b")),
         ]
         config = NdcgConfig(cutoffs=(1, 2))
         [[(rows, misses)]] = region_rows([units], lookup_of(cells), ["CA"], config)
@@ -538,22 +515,12 @@ class TestMeanNdcgGroups:
         # a count-0 mean is math.nan itself, which lists compare by identity
         assert results == alone
 
-    @pytest.mark.parametrize(
-        "bad, error",
-        [
-            ([], EvalError),
-            (
-                [("q1", ranked(["a"], "engine")), ("q2", ranked(["d"], "x"))],
-                ContractViolation,
-            ),
-        ],
-        ids=["empty", "mixed"],
-    )
+    @pytest.mark.parametrize("bad, error", [([], EvalError)], ids=["empty"])
     def test_bad_group_in_the_middle_raises_as_alone(self, bad, error):
         cells = {("q1", "a", "CA"): 3, ("q2", "d", "CA"): 2}
         with pytest.raises(error) as alone:
             mean_ndcg([bad], lookup_of(cells), ["CA"])
-        good = [("q1", ranked(["a", "zz"], "engine"))]
+        good = [("q1", ("a", "zz"))]
         with pytest.raises(error) as excinfo:
             mean_ndcg([good, bad, good], lookup_of(cells), ["CA"])
         assert str(excinfo.value) == str(alone.value)
@@ -603,7 +570,7 @@ class TestMeanNdcgRegions:
                     units, cells, region, config, require_complete
                 )
                 rows = [
-                    EvalRow("ctvm(CA)", k, math.fsum(values) / len(values), len(values))
+                    Mean(k, math.fsum(values) / len(values), len(values))
                     for k, values in zip(
                         config.cutoffs, zip(*(values for _, values in scores))
                     )
@@ -621,24 +588,24 @@ class TestMeanNdcgRegions:
                 else:  # require_complete left no query
                     assert len(got_rows) == len(config.cutoffs)
                     for k, row in zip(config.cutoffs, got_rows):
-                        assert (row.provenance, row.cutoff) == ("ctvm(CA)", k)
+                        assert row.cutoff == k
                         assert row.n_queries == 0 and math.isnan(row.mean_ndcg)
 
     def test_exhausted_cells_read_count_0_and_nan(self):
         cells = {("q1", "a", "CA"): 3.0, ("q1", "b", "CA"): 1.0, ("q1", "a", "NY"): 2.0}
         groups = [
-            [("q1", ranked(["a"], "engine"))],  # TX judged nothing
-            [("q1", ranked(["a", "b"], "ctvm(CA)"))],  # and NY not b
+            [("q1", ("a",))],  # TX judged nothing
+            [("q1", ("a", "b"))],  # and NY not b
         ]
         results = mean_ndcg(
             groups, lookup_of(cells), ["CA", "NY", "TX"], require_complete=True
         )
-        assert [(result[0], *result[2:]) for result in results] == [
-            ("engine", [1, 1, 0], [0, 0, 0]),
-            ("ctvm(CA)", [1, 0, 0], [0, 0, 0]),
+        assert [result[1:] for result in results] == [
+            ([1, 1, 0], [0, 0, 0]),
+            ([1, 0, 0], [0, 0, 0]),
         ]
         relevances = [[[3.0], [2.0], None], [[3.0, 1.0], None, None]]
-        for (_, means, _, _), per_region in zip(results, relevances):
+        for (means, _, _), per_region in zip(results, relevances):
             for k, column in zip(DEFAULT_CUTOFFS, means):
                 for mean, kept in zip(column, per_region):
                     if kept is None:
@@ -648,7 +615,7 @@ class TestMeanNdcgRegions:
 
     def test_a_bare_string_is_not_a_region_list(self):
         lookup = lookup_of({("q1", "a", "CA"): 3.0, ("q1", "a", "C"): 1.0})
-        units = [("q1", ranked(["a"], "engine"))]
+        units = [("q1", ("a",))]
         with pytest.raises(ContractViolation, match="list of region codes"):
             mean_ndcg([units], lookup, "CA")
         with pytest.raises(ContractViolation, match="list of region codes"):

@@ -10,6 +10,7 @@ import pytest
 import ctvm
 from ctvm import (
     Pipeline,
+    engine_ranking,
     ingest_tweets,
     load_news,
     load_queries,
@@ -81,14 +82,17 @@ def test_library_path_matches_cli_rankings(
         for region in regions:
             s = slice_corpus(tweets, docs, query, region, day, engine)
             votes = vote(s, pipeline, sim_mode, news_vectors=shared)
-            ranking = rerank(s, votes)
-            key = (query_id, engine, day.isoformat(), ranking.provenance)
-            assert ranking.provenance == f"ctvm({region})"
-            assert sorted(written[key]) == [
-                (position, i, votes[i])
-                for position, i in enumerate(ranking.ids, start=1)
-            ]
-            seen.add(key)
-    assert seen == {key for key in written if key[3] != "engine"}
+            # the CLI names each ranking: the engine's, and ctvm(region)'s
+            for provenance, ids, row_votes in (
+                ("engine", engine_ranking(s), dict.fromkeys(votes)),
+                (f"ctvm({region})", rerank(s, votes), votes),
+            ):
+                key = (query_id, engine, day.isoformat(), provenance)
+                assert sorted(written[key]) == [
+                    (position, i, row_votes[i])
+                    for position, i in enumerate(ids, start=1)
+                ]
+                seen.add(key)
+    assert seen == written.keys()
     # the fixture's tweets score, so not every compared vote is 0.0
     assert any(v for rows in written.values() for _, _, v in rows if v is not None)

@@ -1,6 +1,6 @@
-"""The package's seven checked records: Query, Tweet, NewsDoc, Pipeline,
-RegionTable, Ranking and NdcgConfig. Each is immutable, equal to and
-hashed like a record of equal fields, and checks its fields once, in its
+"""The package's six checked records: Query, Tweet, NewsDoc, Pipeline,
+RegionTable and NdcgConfig. Each is immutable, equal to and hashed like
+a record of equal fields, and checks its fields once, in its
 constructor, with the messages pinned here."""
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from ctvm.corpus import NewsDoc, Query, Tweet
 from ctvm.evaluation import NdcgConfig
 from ctvm.geofilter import RegionTable
 from ctvm.textproc import Pipeline
-from ctvm.voting import Ranking
 
 UTC = timezone.utc
 
@@ -53,7 +52,6 @@ RECORDS = [
         ),
     ),
     (RegionTable, lambda: dict(entries=(("CA", "California"), ("NY", "New York")))),
-    (Ranking, lambda: dict(ids=("n2", "n1"), provenance="ctvm(CA)")),
     (NdcgConfig, lambda: dict(cutoffs=(1, 3), variant="literal")),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
@@ -89,14 +87,13 @@ def test_equal_fields_make_equal_records(cls, fields):
         NewsDoc: "n2",
         Pipeline: frozenset({"an"}),
         RegionTable: (("TX", "Texas"),),
-        Ranking: ("n1",),
         NdcgConfig: (5,),
     }[cls]
     assert cls(**other) != first
 
 
 @pytest.mark.parametrize(
-    "cls", [Query, Tweet, NewsDoc, Ranking, NdcgConfig], ids=lambda cls: cls.__name__
+    "cls", [Query, Tweet, NewsDoc, NdcgConfig], ids=lambda cls: cls.__name__
 )
 def test_named_tuple_records_equal_the_tuple_of_their_fields(cls):
     fields = dict(RECORDS)[cls]()
@@ -164,11 +161,6 @@ HOUR = timedelta(hours=1)
         (
             lambda: RegionTable((("CA", "California"), ("CA", "Cal"))),
             "duplicate region code: CA",
-        ),
-        (lambda: Ranking(("n1",), ""), "ranking needs a provenance tag"),
-        (
-            lambda: Ranking(("n1", "n2", "n1"), "engine"),
-            "duplicate news id in ranking: n1",
         ),
         (lambda: NdcgConfig(()), "need at least one cutoff"),
         (lambda: NdcgConfig((3, 0)), "cutoffs must be ints >= 1: (3, 0)"),

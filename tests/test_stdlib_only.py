@@ -68,10 +68,11 @@ def test_cli_import_leaves_importlib_resources_out():
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     out = run_python(
         "import sys, ctvm.cli\n"
-        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n",
+        "names = ('dataclasses', 'inspect', 'typing')\n"
+        "print(*(name in sys.modules for name in names))\n",
         SRC,
     )
-    assert out == "False False\n"
+    assert out == "False False False\n"
 
 
 def test_bundled_data_is_read_beside_a_copied_package(tmp_path):

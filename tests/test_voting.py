@@ -6,19 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ctvm.voting
-from ctvm.corpus import CorpusSlice, NewsDoc, Query, Tweet
+from ctvm.corpus import CorpusSlice, NewsDoc, Query, Tweet, slice_corpus
 from ctvm.errors import ContractViolation, EmptySliceError
 from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE, cosine
 from ctvm.textproc import Pipeline, to_vector
-from ctvm.voting import (
-    PROVENANCE_ENGINE,
-    Ranking,
-    engine_ranking,
-    news_text,
-    provenance_for_region,
-    rerank,
-    vote,
-)
+from ctvm.voting import engine_ranking, news_text, rerank, vote
 
 from oracles import naive_rerank, naive_votes
 
@@ -147,31 +139,20 @@ class TestVote:
 
 
 class TestRanking:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Ranking(("a", "a"), "engine")
-
-    def test_empty_provenance_rejected(self):
-        with pytest.raises(ValueError, match="provenance"):
-            Ranking(("a",), "")
-
     def test_ids(self):
-        ranking = Ranking(("b", "a"), "engine")
-        assert ranking.ids == ("b", "a")
-        assert len(ranking.ids) == 2
-
-    def test_provenance_labels(self):
-        assert provenance_for_region("CA") == "ctvm(CA)"
-        assert provenance_for_region(None) == "ctvm"
-        assert PROVENANCE_ENGINE == "engine"
+        """A ranking is the plain tuple of its news ids, best first."""
+        news = [make_news("nA", 1, "A"), make_news("nB", 2, "B")]
+        corpus_slice = make_slice((), news)
+        assert engine_ranking(corpus_slice) == ("nA", "nB")
+        ranking = rerank(corpus_slice, {"nA": 0.0, "nB": 1.0})
+        assert type(ranking) is tuple and ranking == ("nB", "nA")
 
 
 class TestRerank:
     def test_engine_ranking_follows_original_rank(self):
         news = [make_news("n2", 2, "B"), make_news("n1", 1, "A")]
-        ranking = engine_ranking(news)
-        assert ranking.ids == ("n1", "n2")
-        assert ranking.provenance == "engine"
+        corpus_slice = slice_corpus((), news, QUERY, "CA", DAY, "google")
+        assert engine_ranking(corpus_slice) == ("n1", "n2")
 
     def test_descending_votes(self):
         news = [
@@ -180,9 +161,7 @@ class TestRerank:
             make_news("nC", 3, "C"),
         ]
         votes = {"nA": 0.2, "nB": 0.9, "nC": 0.5}
-        ranking = rerank(make_slice((), news), votes)
-        assert ranking.ids == ("nB", "nC", "nA")
-        assert ranking.provenance == "ctvm(CA)"
+        assert rerank(make_slice((), news), votes) == ("nB", "nC", "nA")
 
     def test_ties_keep_engine_order(self):
         news = [
@@ -191,12 +170,12 @@ class TestRerank:
             make_news("nC", 3, "C"),
         ]
         votes = {"nC": 0.5, "nA": 0.5, "nB": 0.5}
-        assert rerank(make_slice((), news), votes).ids == ("nA", "nB", "nC")
+        assert rerank(make_slice((), news), votes) == ("nA", "nB", "nC")
 
     def test_all_zero_votes_reproduce_engine_order(self):
         news = [make_news(f"n{i}", i, f"T{i}") for i in range(1, 6)]
         votes = {d.id: 0.0 for d in news}
-        assert rerank(make_slice((), news), votes).ids == tuple(d.id for d in news)
+        assert rerank(make_slice((), news), votes) == tuple(d.id for d in news)
 
     def test_count_mismatch_rejected(self):
         news = [make_news("nA", 1, "A")]
@@ -417,7 +396,7 @@ class TestRerankProperties:
             [d.original_rank for d in news],
             list(values),
         )
-        assert list(rerank(make_slice((), news), votes).ids) == expected
+        assert list(rerank(make_slice((), news), votes)) == expected
 
     @settings(max_examples=80)
     @given(
@@ -430,6 +409,6 @@ class TestRerankProperties:
     def test_votes_descend_along_ranking(self, values):
         news = [make_news(f"n{i}", i, f"T{i}") for i in range(1, len(values) + 1)]
         votes = {d.id: v for d, v in zip(news, values)}
-        ranked = rerank(make_slice((), news), votes).ids
+        ranked = rerank(make_slice((), news), votes)
         for earlier, later in zip(ranked, ranked[1:]):
             assert votes[earlier] >= votes[later]
