@@ -286,34 +286,30 @@ def ingest_tweets(
     for _, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _TWEET_FIELDS)
-            tweet_id = record["id"]
             text = record["text"]
-            if not text.strip():
-                raise ValueError("blank text")
             if len(text) > max_text_len:
                 raise ValueError("text too long")
             timestamp = parse_timestamp(record["timestamp"])
             location = _optional_str(record, "user_location")
-            preset = record.get("region")
-            if preset is not None and (
-                not isinstance(preset, str) or preset not in regions
-            ):
-                raise ValueError("region not in the table")
+            if "region" in record:
+                region = record["region"]
+                if region is not None and (
+                    not isinstance(region, str) or region not in regions
+                ):
+                    raise ValueError("region not in the table")
+            else:
+                region = regions.resolve(location, loose_abbrev=loose_abbrev)
+            tweet = Tweet(record["id"], text, timestamp, location, region)
         except ValueError:
             report.malformed += 1
             continue
-        if tweet_id in seen:
+        if tweet.id in seen:
             report.duplicates += 1
             continue
-        seen.add(tweet_id)
-        if "region" in record:
-            region = preset
-        else:
-            region = regions.resolve(location, loose_abbrev=loose_abbrev)
+        seen.add(tweet.id)
         if region is None:
             report.region_unresolved += 1
-        # every field is checked above, so Tweet's own checks are skipped
-        tweets.append(Tweet._make((tweet_id, text, timestamp, location, region)))
+        tweets.append(tweet)
         report.accepted += 1
     return tweets, report
 
@@ -325,26 +321,23 @@ def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], SimpleNamespace]:
     for _, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _NEWS_FIELDS)
-            news_id, title = record["id"], record["title"]
-            rank = record["original_rank"]
-            if rank < 1:
-                raise ValueError("original_rank below 1")
-            if not title.strip():
-                raise ValueError("blank title")
-            day = parse_date(record["retrieved_date"])
-            snippet = _optional_str(record, "snippet")
+            doc = NewsDoc(
+                record["id"],
+                record["query_id"],
+                record["engine"],
+                record["original_rank"],
+                record["title"],
+                parse_date(record["retrieved_date"]),
+                _optional_str(record, "snippet"),
+            )
         except ValueError:
             report.malformed += 1
             continue
-        if news_id in seen:
+        if doc.id in seen:
             report.duplicates += 1
             continue
-        seen.add(news_id)
-        # every field is checked above, so NewsDoc's own checks are skipped
-        query_id, engine = record["query_id"], record["engine"]
-        docs.append(
-            NewsDoc._make((news_id, query_id, engine, rank, title, day, snippet))
-        )
+        seen.add(doc.id)
+        docs.append(doc)
         report.accepted += 1
     return docs, report
 
@@ -356,16 +349,10 @@ def load_queries(lines: Iterable[str]) -> list[Query]:
     for lineno, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _QUERY_FIELDS)
-            query_id, variants = record["id"], record["variants"]
+            variants = record["variants"]
             if not all(isinstance(v, str) for v in variants):
                 raise ValueError("variants must be a list of strings")
-            # folded here, so only Query's emptiness checks are left to make
-            variants = tuple(lower_nfc(v).strip() for v in variants)
-            if not variants:
-                raise ValueError(f"query {query_id} has no variants")
-            if "" in variants:
-                raise ValueError("query variant must be non-empty lowercase NFC: ''")
-            query = Query._make((query_id, variants))
+            query = Query(record["id"], tuple(lower_nfc(v).strip() for v in variants))
         except ValueError as exc:
             raise InputDataError(f"bad query record on line {lineno}: {exc}")
         if query.id in seen:

@@ -342,7 +342,7 @@ class TestIngestTweets:
             "duplicates": 0,
             "region_unresolved": 1,
         }
-        # the loader checks what Tweet would, so its records pass Tweet's checks
+        # the loader builds each record with Tweet, so rebuilding one changes nothing
         assert [Tweet(*t) for t in tweets] == tweets
 
     def test_preset_region_passes_through(self, states):
@@ -525,7 +525,7 @@ class TestLoadQueries:
     def test_any_non_blank_variant_loads(self, variant):
         (query,) = load_queries([json.dumps({"id": "q", "variants": [variant]})])
         assert query.variants == (lower_nfc(variant).strip(),)
-        # the loader folds instead of calling Query, whose checks still hold
+        # the loader folds each variant, then builds the record with Query
         assert Query(*query) == query
 
     def test_non_string_variant_is_fatal(self):
