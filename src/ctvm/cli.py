@@ -606,15 +606,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each character str.splitlines breaks at, as its backslash escape, so
+# an input id that holds one cannot split an error into two lines
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
+def _error(exc: Exception) -> None:
+    print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_CONTRACT
     except (CtvmError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_INPUT
 
 

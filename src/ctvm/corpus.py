@@ -89,7 +89,12 @@ class Query(namedtuple("Query", "id variants")):
         """Whether text holds a variant, compared as tokenize compares
         them, in lower_nfc form."""
         lowered = lower_nfc(text)
-        return any(v in lowered for v in self.variants)
+        # a loop rather than any(): rerank calls this once per scanned
+        # tweet, and any() would build a generator each time
+        for v in self.variants:
+            if v in lowered:
+                return True
+        return False
 
 
 class Tweet(namedtuple("Tweet", "id text timestamp user_location region")):

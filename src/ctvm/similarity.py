@@ -9,6 +9,12 @@ textbook formula, kept as an alternative for comparison runs.
 
 Counts are non-negative ints, so every accumulation below is exact
 integer arithmetic; results do not depend on term iteration order.
+
+In common-set mode a pair that shares exactly one term, with counts x
+and y, scores x*y / sqrt(x*x*y*y). While x*y < 2**26 the square is an
+int below 2**52, which a float holds exactly, so its sqrt is exactly
+x*y and the score is exactly 1.0; such a pair returns 1.0 without the
+arithmetic, and every other pair takes the formula.
 """
 
 from __future__ import annotations
@@ -52,6 +58,11 @@ def unchecked_cosine(
     shared = a.keys() & b.keys()
     if not shared:
         return 0.0
+    if len(shared) == 1 and mode != MODE_FULL_COSINE:
+        # the formula would give exactly 1.0; see the module docstring
+        (term,) = shared
+        if a[term] * b[term] < 2**26:
+            return 1.0
     dot = norm_a = norm_b = 0
     for term in shared:
         x = a[term]

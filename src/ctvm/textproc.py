@@ -37,7 +37,11 @@ def lower_nfc(text: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric tokens in order of appearance."""
-    normalized = _URL_RE.sub(" ", lower_nfc(text))
+    normalized = lower_nfc(text)
+    # Under re.IGNORECASE only ASCII letters match h, t and p, and
+    # lower_nfc has lowercased them, so a text without "http" holds no URL
+    if "http" in normalized:
+        normalized = _URL_RE.sub(" ", normalized)
     return _TOKEN_RE.findall(normalized)
 
 
@@ -94,10 +98,7 @@ def to_vector(text: str, pipeline: Pipeline) -> TermVector:
     """
     drop_tokens, drop_stems = pipeline.drop_tokens, pipeline.drop_stems
     counts: TermVector = {}
-    for token in tokenize(text):
-        if token in drop_tokens:
-            continue
-        stemmed = stem(token)
+    for stemmed in map(stem, [t for t in tokenize(text) if t not in drop_tokens]):
         # bare "s" stems to "" under the strict published rules
         if not stemmed or stemmed in drop_stems:
             continue

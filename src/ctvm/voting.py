@@ -8,6 +8,9 @@ reproduces the engine ranking exactly.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
+
 from .corpus import CorpusSlice, NewsDoc
 from .errors import ContractViolation, EmptySliceError
 # vote's per-pair call skips the public cosine's checks: its vectors come
@@ -35,7 +38,9 @@ def vote(
 
     Tweets are processed in slice order and each contributes the
     similarity between its term vector and the doc's, so totals are
-    reproducible run to run.
+    reproducible run to run. Each tweet is scored against all of the
+    slice's docs in one pass, which adds to every total exactly as a
+    per-pair `totals[j] += cosine(...)` loop would.
 
     news_vectors, when given, maps news id to that doc's vector; a doc
     missing from it is vectorized and added. It is only valid for one
@@ -64,8 +69,13 @@ def vote(
         tweet_vector = to_vector(tweet.text, pipeline)
         if not tweet_vector:
             continue
-        for j, news_vector in enumerate(doc_vectors):
-            totals[j] += cosine(tweet_vector, news_vector, sim_mode)
+        totals = list(
+            map(
+                add,
+                totals,
+                map(cosine, repeat(tweet_vector), doc_vectors, repeat(sim_mode)),
+            )
+        )
     return {doc.id: total for doc, total in zip(corpus_slice.news, totals)}
 
 

@@ -71,6 +71,28 @@ def naive_similarity(
     return dot / math.sqrt(left * right)
 
 
+def formula_cosine(
+    a: dict[str, int],
+    b: dict[str, int],
+    mode: str = "common-set",
+) -> float:
+    """The similarity formula applied to every pair, with no shortcut:
+    int sums, one sqrt of their int product, one division, clamped at
+    1.0. Unlike naive_similarity this is the package's own arithmetic,
+    kept so that a fast path can be held to it bit for bit."""
+    shared = [t for t in a if t in b]
+    if not shared:
+        return 0.0
+    dot = sum(a[t] * b[t] for t in shared)
+    if mode == "full-cosine":
+        norm_a = sum(c * c for c in a.values())
+        norm_b = sum(c * c for c in b.values())
+    else:
+        norm_a = sum(a[t] * a[t] for t in shared)
+        norm_b = sum(b[t] * b[t] for t in shared)
+    return min(1.0, dot / math.sqrt(norm_a * norm_b))
+
+
 def naive_votes(
     tweet_texts: list[str],
     news_texts: list[str],

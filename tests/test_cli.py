@@ -339,6 +339,33 @@ class TestRerank:
         assert code == EXIT_INPUT
         assert "obama" in err
 
+    @pytest.mark.parametrize(
+        "query_id, shown",
+        [
+            ("a\nerror: b", r"a\nerror: b"),
+            ("a\r\nb", r"a\r\nb"),
+            ("\v\f\x1c\x1d\x1e\x85", r"\x0b\x0c\x1c\x1d\x1e\x85"),
+            ("x\u2028y\u2029", r"x\u2028y\u2029"),
+            ("tab\tand\\n", "tab\tand\\n"),
+        ],
+    )
+    def test_line_breaks_in_an_id_keep_the_error_on_one_line(
+        self, query_id, shown, data_dir, tmp_path, capsys
+    ):
+        """Each character str.splitlines breaks at is written as its
+        escape, so a repeated query id cannot add a line that reads as a
+        second error; any other character is written as it is."""
+        tri = data_dir / "tri_region"
+        queries = tmp_path / "queries.jsonl"
+        line = json.dumps({"id": query_id, "variants": ["merger"]})
+        write_lines(queries, [line, line])
+        code, _, err = run(
+            capsys, "rerank", "--tweets", tri / "tweets.jsonl", "--news",
+            tri / "news.jsonl", "--queries", queries, "--out", tmp_path / "out.jsonl",
+        )
+        assert code == EXIT_INPUT
+        assert err == f"error: duplicate query id: {shown}\n"
+
     def test_bad_queries_file_exits_one(self, golden, tmp_path, capsys):
         queries = tmp_path / "queries.jsonl"
         write_lines(queries, [json.dumps({"id": "obama"})])

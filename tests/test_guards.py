@@ -1,7 +1,8 @@
 """Guards that hold for any input, not only for hand-picked cases.
 
 - A fuzz test mutates the tri_region and escapes fixtures along their
-  JSON structure and runs every stage on them in-process: no input
+  JSON structure, then ingest's output and eval's CSV on their way to
+  rerank and report, and runs every stage on them in-process: no input
   ends in a traceback, a second error line or a half-written --out.
 - Metamorphic tests relate runs on the golden and tri_region fixtures:
   line order, the --regions subset and tweets that no slice can hold
@@ -10,6 +11,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -64,6 +67,9 @@ EDGE_VALUES = (
     "",
     "\u0000",
     "\ud800",
+    # line breaks, which an error message must not pass on
+    "a\nerror: b",
+    "x\u2028y",
     # blank once str.strip has run
     " ",
     "\u3000\t",
@@ -74,10 +80,56 @@ EDGE_VALUES = (
     "9999-12-31T23:59:59-23:59",
     DEEP,
 )
+# extra values for a field of that name: preset region codes that are
+# in the region table, not in it, or in the wrong case
+FIELD_VALUES = {"region": ("NY", "MA", "ZZ", "ca")}
+# values for a cell of eval's CSV
+CELL_VALUES = (
+    "", " ", "0", "-1", "1.5", "nan", "inf", "-inf", "1e999", "2" * 30,
+    "engine", "ctvm(CA)", "ctvm(", "\u0000", "a\nerror: b", "x\u2028y", '"',
+)
 MUTATIONS = ("set", "set", "drop", "cut", "join", "repeat", "delete")
 
 
-def mutate(lines: list[str], data) -> None:
+def edit_json(line: str, kind: str, data, field=None) -> str:
+    """line with one field of its record set to a drawn value, or
+    dropped; a line that is not a JSON object is kept."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return line
+    if type(record) is not dict or not record:
+        return line
+    if field is None:
+        field = data.draw(st.sampled_from(sorted(record)), label="field")
+    if kind == "drop":
+        del record[field]
+    else:
+        values = FIELD_VALUES.get(field, ()) + EDGE_VALUES
+        record[field] = data.draw(st.sampled_from(values), label="value")
+    return json.dumps(record).replace(json.dumps(DEEP), DEEP_TEXT)
+
+
+def edit_csv(line: str, kind: str, data) -> str:
+    """line with one cell of its CSV row set to a drawn value, or
+    dropped."""
+    try:
+        cells = next(csv.reader([line]), [])
+    except csv.Error:
+        return line
+    if not cells:
+        return line
+    index = data.draw(st.integers(0, len(cells) - 1), label="cell")
+    if kind == "drop":
+        del cells[index]
+    else:
+        cells[index] = data.draw(st.sampled_from(CELL_VALUES), label="value")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(cells)
+    return out.getvalue()
+
+
+def mutate(lines: list[str], data, edit=edit_json) -> None:
     """Apply one drawn mutation to lines in place."""
     kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
     if not lines:
@@ -89,22 +141,12 @@ def mutate(lines: list[str], data) -> None:
     elif kind == "delete":
         del lines[index]
     elif kind == "cut":
-        lines[index] = line[: data.draw(st.integers(0, len(line) - 1), label="cut")]
+        end = data.draw(st.integers(0, max(len(line) - 1, 0)), label="cut")
+        lines[index] = line[:end]
     elif kind == "join":  # two records on one line
         lines[index] = line + lines[(index + 1) % len(lines)]
     else:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return
-        if type(record) is not dict or not record:
-            return
-        field = data.draw(st.sampled_from(sorted(record)), label="field")
-        if kind == "drop":
-            del record[field]
-        else:
-            record[field] = data.draw(st.sampled_from(EDGE_VALUES), label="value")
-        lines[index] = json.dumps(record).replace(json.dumps(DEEP), DEEP_TEXT)
+        lines[index] = edit(line, kind, data)
 
 
 # each stage's optional flags; a run draws any mix of them
@@ -166,7 +208,11 @@ def run_stage(capsys, command, argv, written):
         path.write_bytes(EARLIER)
     code, _, err = run(capsys, command, *argv)
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_CONTRACT)
-    assert sum(line.startswith("error:") for line in err.split("\n")) <= 1, err
+    # str.splitlines, as a reader of the stream may split it
+    lines = err.splitlines()
+    assert sum(line.startswith("error:") for line in lines) <= 1, err
+    kinds = ("error: ", "note: ", '{"ingest": ')
+    assert all(line.startswith(kinds) for line in lines), err
     if code != EXIT_OK:
         for path in written:
             assert path.read_bytes() == EARLIER, path.name
@@ -196,11 +242,15 @@ def test_mutated_fixture_exits_cleanly(name, data_dir, tmp_path, capsys):
     """Any mix of mutations to any of a fixture's JSONL inputs, run
     through ingest, rerank, eval and report with any mix of flags, ends
     in exit 0, 1 or 2 with at most one error line, and a stage that
-    fails leaves the files it would write as they were."""
+    fails leaves the files it would write as they were. Ingest's output,
+    when rerank reads it, gets a record's preset region set and up to
+    two more mutations; eval's CSV gets up to three before report."""
     sources = fixture_inputs(data_dir, name)
     pristine = {key: read_lines(path) for key, path in sources.items()}
     inputs = {key: tmp_path / f"{key}.jsonl" for key in sources}
-    enriched, marked = tmp_path / "enriched.jsonl", tmp_path / "marked.csv"
+    enriched, rows, marked = (
+        tmp_path / file for file in ("enriched.jsonl", "rows.csv", "marked.csv")
+    )
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
@@ -219,6 +269,19 @@ def test_mutated_fixture_exits_cleanly(name, data_dir, tmp_path, capsys):
                     flags = ("--csv", marked)
                     written.append(marked)
                 argv += flags
+            if command == "rerank" and rerank_tweets == enriched:
+                # ingest's output: its records hold a preset region
+                outputs = read_lines(enriched)
+                index = data.draw(st.integers(0, len(outputs) - 1), label="record")
+                outputs[index] = edit_json(outputs[index], "set", data, "region")
+                for _ in range(data.draw(st.integers(0, 2), label="mutations")):
+                    mutate(outputs, data)
+                write_lines(enriched, outputs)
+            elif command == "report":
+                outputs = read_lines(rows)
+                for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+                    mutate(outputs, data, edit_csv)
+                write_lines(rows, outputs)
             run_stage(capsys, command, argv, written)
 
     check()

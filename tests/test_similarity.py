@@ -6,9 +6,15 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE, SIM_MODES, cosine
+from ctvm.similarity import (
+    MODE_COMMON_SET,
+    MODE_FULL_COSINE,
+    SIM_MODES,
+    cosine,
+    unchecked_cosine,
+)
 
-from oracles import naive_similarity
+from oracles import formula_cosine, naive_similarity
 
 TOL = 1e-12
 
@@ -153,3 +159,50 @@ class TestProperties:
         shuffled = dict(items)
         for mode in SIM_MODES:
             assert cosine(shuffled, b, mode) == cosine(a, b, mode)
+
+
+# counts whose products fall on both sides of 2**26, where the
+# one-shared-term shortcut stops
+COUNTS = st.one_of(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=2**13 - 2, max_value=2**13 + 2),
+    st.integers(min_value=2**26 - 2, max_value=2**26 + 2),
+    st.integers(min_value=1, max_value=2**40),
+)
+WIDE_VECTORS = st.dictionaries(
+    keys=st.sampled_from(["t0", "t1", "t2", "t3"]), values=COUNTS, max_size=4
+)
+
+
+class TestExactness:
+    """unchecked_cosine returns exactly the formula's float."""
+
+    @given(WIDE_VECTORS, WIDE_VECTORS, st.sampled_from(SIM_MODES))
+    def test_equals_the_formula_bit_for_bit(self, a, b, mode):
+        assert unchecked_cosine(a, b, mode).hex() == formula_cosine(a, b, mode).hex()
+
+    @given(
+        st.integers(min_value=1, max_value=2**27),
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from(SIM_MODES),
+        st.booleans(),
+    )
+    def test_one_shared_term_either_side_of_the_bound(self, x, offset, mode, extra):
+        """y is drawn so that x*y lands within a few x of 2**26."""
+        y = max(1, 2**26 // x + offset)
+        a = {"shared": x, "only_a": 3} if extra else {"shared": x}
+        b = {"shared": y, "only_b": 5}
+        assert unchecked_cosine(a, b, mode).hex() == formula_cosine(a, b, mode).hex()
+        assert cosine(b, a, mode).hex() == formula_cosine(b, a, mode).hex()
+
+    def test_products_at_and_past_the_bound(self):
+        """The last pair's formula reads 0.9999999999999998, not 1.0: its
+        square, near 2**109, is no longer exact as a float."""
+        pairs = [
+            (1, 2**26 - 1), (1, 2**26), (2**13, 2**13), (3, 22369621),
+            (135907146, 174917377),
+        ]
+        for x, y in pairs:
+            for mode in SIM_MODES:
+                a, b = {"t": x, "u": 1}, {"t": y}
+                assert unchecked_cosine(a, b, mode) == formula_cosine(a, b, mode)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import string
 import sys
 import unicodedata
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctvm.textproc import (
+    _TOKEN_RE,
+    _URL_RE,
     Pipeline,
     TermVector,
     load_stopwords,
@@ -51,6 +54,31 @@ class TestTokenize:
             assert token
             assert token == token.lower()
             assert "_" not in token
+
+
+# URL-like pieces in cases and spellings the URL pattern's IGNORECASE
+# treats specially: "ſ" (long s) matches "s" and U+212A (the Kelvin sign)
+# matches "k"
+URL_PIECES = st.sampled_from(
+    ["http://a.b/c", "HTTP://X.CO", "Https://x", "httpſ://x.y", "HTTPſ://Z",
+     "hTtP", "http", "://", "ſ", "\u212a", "İ", "Ⓗttp://x", "ｈｔｔｐ://x", "é", " "]
+)
+
+
+class TestUrlStripping:
+    """tokenize runs the URL pattern only on text holding "http"; the
+    tokens are those of running it on every text."""
+
+    @given(st.lists(URL_PIECES | st.text(max_size=8), max_size=12).map("".join))
+    def test_equals_the_unconditional_substitution(self, text):
+        assert tokenize(text) == _TOKEN_RE.findall(_URL_RE.sub(" ", lower_nfc(text)))
+
+    def test_only_ascii_letters_match_h_t_and_p(self):
+        """Every code point the pattern's "h", "t" or "p" matches under
+        IGNORECASE is an ASCII letter, which lower_nfc lowercases."""
+        letter = re.compile("[htp]", re.IGNORECASE)
+        matched = {chr(c) for c in range(sys.maxunicode + 1) if letter.fullmatch(chr(c))}
+        assert matched == set("htpHTP")
 
 
 class TestLowerNfc:

@@ -72,3 +72,14 @@ def test_traced_pipeline_counts_every_layer(data_dir, tmp_path, capsys):
     assert metrics["judgments.records"] == 45
     assert metrics["judgments.cells_kept"] == 15
     assert metrics["judgments.cells_dropped"] == 0
+    # rerank's counts: one slice of 5 docs per region holds its share
+    # of the 18 tweets, each matched once; 5 doc and 18 tweet vectors,
+    # and every tweet scores against its slice's 5 docs
+    assert metrics["corpus.slice_corpus.calls"] == 3
+    assert metrics["corpus.query_matches.calls"] == 18
+    assert metrics["textproc.to_vector.calls"] == 23
+    assert metrics["porter.stem.calls"] == 47
+    assert metrics["similarity.cosine.calls"] == 90
+    assert metrics["similarity.cosine.nonzero_ratio"] == 0.2
+    assert metrics["voting.vote.calls"] == 3
+    assert metrics["voting.pairs"] == 90

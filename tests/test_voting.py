@@ -12,7 +12,7 @@ from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE, cosine
 from ctvm.textproc import Pipeline, to_vector
 from ctvm.voting import engine_ranking, news_text, rerank, vote
 
-from oracles import naive_rerank, naive_votes
+from oracles import formula_cosine, naive_rerank, naive_votes
 
 UTC = timezone.utc
 DAY = date(2011, 12, 12)
@@ -356,6 +356,45 @@ class TestVoteExactness:
         assert list(votes.values()) == expected
         assert len(pairs) == sum(1 for v in tweet_vectors if v) * len(news)
         assert set(pairs) <= {mode}
+
+    @settings(max_examples=80)
+    @given(
+        tweet_texts=st.lists(RAW_TEXTS, max_size=6),
+        news_texts=st.lists(RAW_TEXTS, min_size=1, max_size=4),
+        scales=st.lists(
+            st.sampled_from([1, 2, 2**13, 2**24, 2**26 // 3, 2**26]),
+            min_size=4,
+            max_size=4,
+        ),
+        mode=st.sampled_from((MODE_COMMON_SET, MODE_FULL_COSINE)),
+    )
+    def test_totals_equal_a_per_pair_loop_over_the_formula(
+        self, tweet_texts, news_texts, scales, mode, obama_pipeline
+    ):
+        """vote's one pass per tweet adds exactly what a per-pair `+=`
+        loop over the shortcut-free formula adds, also when doc counts
+        (passed in news_vectors) put products past 2**26."""
+        news = tuple(
+            make_news(f"n{i}", i, text)
+            for i, text in enumerate(news_texts, start=1)
+        )
+        news_vectors = {
+            doc.id: {t: c * scale for t, c in to_vector(doc.title, obama_pipeline).items()}
+            for doc, scale in zip(news, scales)
+        }
+        tweets = tuple(
+            make_tweet(f"t{i}", text, hour=i) for i, text in enumerate(tweet_texts)
+        )
+        expected = [0.0] * len(news)
+        for tweet in tweets:
+            tweet_vector = to_vector(tweet.text, obama_pipeline)
+            for j, doc in enumerate(news):
+                expected[j] += formula_cosine(tweet_vector, news_vectors[doc.id], mode)
+        votes = vote(
+            make_slice(tweets, news), obama_pipeline, sim_mode=mode,
+            news_vectors=news_vectors,
+        )
+        assert [v.hex() for v in votes.values()] == [v.hex() for v in expected]
 
     def test_shared_news_vectors_are_filled_then_reused(
         self, obama_pipeline, monkeypatch
