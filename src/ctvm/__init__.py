@@ -16,13 +16,7 @@ from .corpus import (
     load_queries,
     slice_corpus,
 )
-from .errors import (
-    ContractViolation,
-    CtvmError,
-    EmptySliceError,
-    EvalError,
-    InputDataError,
-)
+from .errors import ContractViolation, CtvmError, InputDataError
 from .evaluation import NdcgConfig, compare, dcg, mean_ndcg, ndcg
 from .geofilter import RegionTable, load_region_table
 from .judgments import (
@@ -43,8 +37,6 @@ __all__ = [
     "ContractViolation",
     "CorpusSlice",
     "CtvmError",
-    "EmptySliceError",
-    "EvalError",
     "InputDataError",
     "Label",
     "NdcgConfig",

@@ -7,8 +7,8 @@ Subcommands mirror the pipeline stages:
   eval    mean NDCG per (region, engine, provenance, cutoff)
   report  mark and print eval rows as comparison tables
 
-Exit codes: 0 success, 1 unusable input, 2 broken internal contract
-(argparse usage errors also exit 2).
+Exit codes: 0 success, 1 unusable input, 2 a usage error or a broken
+contract. main writes each failure as one "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .corpus import (
     parse_date,
     slice_corpus,
 )
-from .errors import ContractViolation, CtvmError, EvalError, InputDataError, read_input
+from .errors import ContractViolation, CtvmError, InputDataError, read_input
 from .evaluation import (
     EvalRow,
     NdcgConfig,
@@ -228,9 +228,13 @@ def cmd_rerank(args) -> int:
         _note(f"{news_report.malformed} malformed news lines dropped")
     if not docs:
         raise InputDataError(f"no usable news records in {args.news}")
-    queries = {q.id: q for q in load_queries(read_input(args.queries))}
-
+    queries = load_queries(read_input(args.queries))
     stopwords = load_stopwords(args.stopwords)
+    # each query with the one pipeline that all of its groups share
+    pipelines = {
+        q.id: (q, Pipeline(stopwords=stopwords, query_terms=q.terms()))
+        for q in queries
+    }
     groups: dict[tuple[str, str, date], list] = {}
     for doc in docs:
         groups.setdefault(
@@ -246,12 +250,11 @@ def cmd_rerank(args) -> int:
     for (query_id, engine, day), group in sorted(groups.items()):
         if args.date and day != args.date:
             continue
-        query = queries.get(query_id)
-        if query is None:
+        if query_id not in pipelines:
             raise InputDataError(
                 f"news references query {query_id!r} missing from {args.queries}"
             )
-        pipeline = Pipeline(stopwords=stopwords, query_terms=query.terms())
+        query, pipeline = pipelines[query_id]
         slices = [
             slice_corpus(buckets.get((r, day), ()), group, query, r, day, engine)
             for r in args.regions
@@ -358,7 +361,7 @@ def cmd_eval(args) -> int:
     for r, region in enumerate(regions):
         for (engine, provenance), units, (_, counts, _) in zip(keys, groups, results):
             if not counts[r]:
-                raise EvalError(
+                raise InputDataError(
                     f"no evaluable queries for {engine}/{provenance} in region "
                     f"{region} (require_complete dropped all {len(units)})"
                 )
@@ -463,8 +466,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach main as a
+    ContractViolation, so they print as one error line and exit 2."""
+
+    def error(self, message: str):
+        raise ContractViolation(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctvm",
         description="Re-rank news results by community tweet votes and "
         "evaluate rankings with NDCG.",
@@ -618,8 +629,8 @@ def _error(exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ContractViolation as exc:
         _error(exc)

@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the package, and the one input reader.
 
-Two broad classes matter to callers: bad input data (exit code 1 at the
-CLI) and internal contract violations such as mismatched parallel
-structures (exit code 2).
+Each exception type stands for one CLI exit code: bad input data exits
+1 and a broken contract exits 2.
 """
 
 import os
@@ -18,16 +17,9 @@ class InputDataError(CtvmError):
     """A file or stream could not be parsed into usable records."""
 
 
-class EmptySliceError(CtvmError):
-    """A corpus slice has no news documents to rank."""
-
-
-class EvalError(CtvmError):
-    """Evaluation could not produce a result (e.g. zero evaluable queries)."""
-
-
 class ContractViolation(CtvmError):
-    """Parallel inputs disagree in a way that indicates a programming bug."""
+    """A caller broke a contract: a usage error at the CLI, or library
+    arguments that cannot go together."""
 
 
 def read_input(path: str | None, bundled: str | None = None) -> list[str]:

@@ -31,7 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, compress, repeat
 from operator import add, truediv
 
-from .errors import ContractViolation, EvalError
+from .errors import ContractViolation, InputDataError
 from .judgments import RelevanceLookup
 
 PROVENANCE_ENGINE = "engine"  # the baseline compare marks the others against
@@ -135,7 +135,7 @@ def ndcg_columns(
     zeros = [0.0] * len(regions)
     for units in groups:
         if not units:
-            raise EvalError(f"no rankings to evaluate for region {regions[0]}")
+            raise InputDataError(f"no rankings to evaluate for region {regions[0]}")
         scored = []
         for query_id, ids in units:
             unit_key = (query_id, frozenset(ids))

@@ -12,7 +12,7 @@ from itertools import repeat
 from operator import add
 
 from .corpus import CorpusSlice, NewsDoc
-from .errors import ContractViolation, EmptySliceError
+from .errors import ContractViolation, InputDataError
 # vote's per-pair call skips the public cosine's checks: its vectors come
 # from to_vector and vote checks the mode on entry. It keeps the name
 # cosine, which perfbench's tracer wraps to count scored pairs.
@@ -51,7 +51,7 @@ def vote(
     if sim_mode not in SIM_MODES:
         raise ValueError(f"unknown similarity mode: {sim_mode!r}")
     if not corpus_slice.news:
-        raise EmptySliceError(
+        raise InputDataError(
             f"no news to rank for query {corpus_slice.query.id} "
             f"({corpus_slice.region}, {corpus_slice.day})"
         )

@@ -6,7 +6,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from ctvm.errors import ContractViolation, EvalError
+from ctvm.errors import ContractViolation, InputDataError
 from ctvm.evaluation import (
     DEFAULT_CONFIG,
     DEFAULT_CUTOFFS,
@@ -311,7 +311,7 @@ class TestMeanNdcg:
         assert math.isnan(mean)
 
     def test_no_units_rejected(self):
-        with pytest.raises(EvalError, match="no rankings"):
+        with pytest.raises(InputDataError, match="no rankings"):
             mean_ndcg([[]], lookup_for(self.CELLS), ["CA"])
 
     @settings(phases=NO_SHRINK)
@@ -515,7 +515,7 @@ class TestMeanNdcgGroups:
         # a count-0 mean is math.nan itself, which lists compare by identity
         assert results == alone
 
-    @pytest.mark.parametrize("bad, error", [([], EvalError)], ids=["empty"])
+    @pytest.mark.parametrize("bad, error", [([], InputDataError)], ids=["empty"])
     def test_bad_group_in_the_middle_raises_as_alone(self, bad, error):
         cells = {("q1", "a", "CA"): 3, ("q2", "d", "CA"): 2}
         with pytest.raises(error) as alone:
@@ -554,7 +554,7 @@ class TestMeanNdcgRegions:
         lookup = lookup_of(cells)
         if empty_at < len(groups):
             groups.insert(empty_at, [])
-            with pytest.raises(EvalError) as excinfo:
+            with pytest.raises(InputDataError) as excinfo:
                 mean_ndcg(
                     groups, lookup, regions, config, require_complete=require_complete
                 )

@@ -4,6 +4,8 @@
   JSON structure, then ingest's output and eval's CSV on their way to
   rerank and report, and runs every stage on them in-process: no input
   ends in a traceback, a second error line or a half-written --out.
+- A usage fuzz puts one usage error among valid flags in any order:
+  each exits 2 with one error line and leaves --out as it was.
 - Metamorphic tests relate runs on the golden and tri_region fixtures:
   line order, the --regions subset and tweets that no slice can hold
   change no byte that they should not.
@@ -283,6 +285,77 @@ def test_mutated_fixture_exits_cleanly(name, data_dir, tmp_path, capsys):
                     mutate(outputs, data, edit_csv)
                 write_lines(rows, outputs)
             run_stage(capsys, command, argv, written)
+
+    check()
+
+
+# one bad value for each type= converter and choice, by stage
+BAD_VALUES = {
+    "ingest": (("--max-text-len", "-5"),),
+    "rerank": (
+        ("--max-text-len", "0"),
+        ("--date", "2011-13-01"),
+        ("--regions", " , "),
+        ("--sim", "euclid"),
+    ),
+    "eval": (
+        ("--k", "0"),
+        ("--k", "3,,5"),
+        ("--min-judges", "1e3"),
+        ("--regions", " , "),
+        ("--ndcg", "dcg"),
+    ),
+}
+USAGE_ERRORS = (
+    "no subcommand", "unknown subcommand", "unknown flag", "missing flag", "bad value",
+)
+
+
+def test_any_usage_error_exits_two_on_one_line(data_dir, tmp_path, capsys):
+    """One usage error among a stage's flags, drawn as for the mutation
+    fuzz and put in any order: no subcommand, an unknown one, an unknown
+    flag, a missing input flag (each is required) or a bad value. The
+    run exits 2, writes one stderr line that starts "error: ctvm" and
+    nothing to stdout, and leaves the files it would write as they were."""
+    inputs = fixture_inputs(data_dir, "tri_region")
+    marked = tmp_path / "marked.csv"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(USAGE_ERRORS), label="usage error")
+        runs = stages(inputs, tmp_path)
+        if kind == "bad value":
+            runs = [stage for stage in runs if stage[0] in BAD_VALUES]
+        command, argv, written = data.draw(st.sampled_from(runs), label="stage")
+        pairs = [tuple(argv[i:i + 2]) for i in range(0, len(argv), 2)]
+        groups = list(pairs)
+        for flags in data.draw(
+            st.lists(st.sampled_from(FLAGS[command]), unique=True), label="flags"
+        ):
+            if flags == ("--csv",):
+                flags = ("--csv", marked)
+                written.append(marked)
+            groups.append(flags)
+        if kind == "missing flag":
+            inputs_given = [g for g in pairs if g[0] != "--out"]
+            groups.remove(data.draw(st.sampled_from(inputs_given), label="dropped"))
+        elif kind == "unknown flag":
+            groups.append(("--bogus",))
+        elif kind == "bad value":
+            groups.append(data.draw(st.sampled_from(BAD_VALUES[command]), label="bad"))
+        order = data.draw(st.permutations(groups), label="order")
+        flat = [str(arg) for group in order for arg in group]
+        argv = {"no subcommand": flat, "unknown subcommand": ["bogus", *flat]}.get(
+            kind, [command, *flat]
+        )
+        for path in written:
+            path.write_bytes(EARLIER)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CONTRACT, ""), err
+        assert err.startswith("error: ctvm") and len(err.splitlines()) == 1, err
+        for path in written:
+            assert path.read_bytes() == EARLIER, path.name
 
     check()
 

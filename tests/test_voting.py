@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import ctvm.voting
 from ctvm.corpus import CorpusSlice, NewsDoc, Query, Tweet, slice_corpus
-from ctvm.errors import ContractViolation, EmptySliceError
+from ctvm.errors import ContractViolation, InputDataError
 from ctvm.similarity import MODE_COMMON_SET, MODE_FULL_COSINE, cosine
 from ctvm.textproc import Pipeline, to_vector
 from ctvm.voting import engine_ranking, news_text, rerank, vote
@@ -88,7 +88,7 @@ class TestVote:
         assert votes == {"n-vac": 0.0, "n-speech": 0.0, "n-tax": 0.0}
 
     def test_no_news_raises(self, obama_pipeline):
-        with pytest.raises(EmptySliceError):
+        with pytest.raises(InputDataError, match="no news to rank"):
             vote(make_slice(WORKSHEET_TWEETS, ()), obama_pipeline)
 
     def test_tweet_reduced_to_nothing_contributes_nothing(self, obama_pipeline):
