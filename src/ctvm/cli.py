@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -126,8 +127,21 @@ def _open_out(path: str):
         raise
 
 
+def _stderr_line(line: str) -> None:
+    """Write one line to stderr. A stderr that cannot take it is closed,
+    so the interpreter's flush at exit cannot fail on it as well: the
+    line is lost, and the exit code stays the work's."""
+    if sys.stderr is None:  # started with stderr closed (`2>&-`)
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except (OSError, ValueError):
+        with contextlib.suppress(OSError, ValueError):
+            sys.stderr.close()
+
+
 def _note(message: str) -> None:
-    print(f"note: {message}", file=sys.stderr)
+    _stderr_line(f"note: {message}")
 
 
 def _parse_region_list(value: str) -> list[str]:
@@ -194,7 +208,7 @@ def cmd_ingest(args) -> int:
     tweets, report = _load_tweets_file(args.tweets, args)
     with _open_out(args.out) as out:
         out.writelines(_tweet_lines(tweets))
-    print(json.dumps({"ingest": vars(report)}), file=sys.stderr)
+    _stderr_line(json.dumps({"ingest": vars(report)}))
     return EXIT_OK
 
 
@@ -241,10 +255,14 @@ def cmd_rerank(args) -> int:
             (doc.query_id, doc.engine, doc.retrieved_date), []
         ).append(doc)
     # Each slice's tweets come from one (region, day) bucket, so
-    # slice_corpus filters that bucket, not every tweet, per slice.
+    # slice_corpus filters that bucket, not every tweet, per slice. The
+    # engine does not decide which tweets a slice holds, so the first
+    # engine's picks for a (query, region, day) are every later
+    # engine's pool.
     buckets: dict[tuple[str | None, date], list] = {}
     for tweet in tweets:
         buckets.setdefault((tweet.region, tweet.day()), []).append(tweet)
+    picks: dict[tuple[str, str, date], tuple] = {}
 
     lines: list[str] = []
     for (query_id, engine, day), group in sorted(groups.items()):
@@ -255,10 +273,11 @@ def cmd_rerank(args) -> int:
                 f"news references query {query_id!r} missing from {args.queries}"
             )
         query, pipeline = pipelines[query_id]
-        slices = [
-            slice_corpus(buckets.get((r, day), ()), group, query, r, day, engine)
-            for r in args.regions
-        ]
+        slices = []
+        for r in args.regions:
+            pool = picks.get((query_id, r, day), buckets.get((r, day), ()))
+            slices.append(slice_corpus(pool, group, query, r, day, engine))
+            picks[query_id, r, day] = slices[-1].tweets
         rankings = [(PROVENANCE_ENGINE, engine_ranking(slices[0]), None)]
         # every region ranks this group's docs, so each is vectorized once
         news_vectors: dict = {}
@@ -329,9 +348,15 @@ def _load_rankings(path: str) -> list[tuple[tuple[str, str], list[tuple[str, tup
 EVAL_COLUMNS = ("region", "engine", "provenance", "cutoff", "mean_ndcg", "n_queries")
 
 
-def _eval_cells(region, engine, provenance, cutoff, mean, n_queries) -> list:
-    """One eval CSV row's cells, in EVAL_COLUMNS order."""
-    return [region, engine, provenance, cutoff, f"{mean:.10f}", n_queries]
+def _csv_cells(*cells: str) -> str:
+    """cells as csv.writer writes them within a row, joined by commas.
+    Its "\r\n" line end makes the writer quote a cell that holds a CR
+    or an LF, so read_input and csv.reader read the cell back whole. The
+    empty last cell keeps a lone empty cell from being quoted, as it
+    would be in a row of its own."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow((*cells, ""))
+    return buf.getvalue()[:-3]
 
 
 def cmd_eval(args) -> int:
@@ -368,13 +393,15 @@ def cmd_eval(args) -> int:
     misses = sum(sum(group_misses) for *_, group_misses in results)
     if misses:
         _note(f"{misses} ranked docs had no judgment; scored 0")
+    # each region and each (engine, provenance) is quoted once
+    groups = [_csv_cells(engine, provenance) for engine, provenance in keys]
     with _open_out(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(EVAL_COLUMNS)
-        for r, region in enumerate(regions):
-            for (engine, provenance), (means, counts, _) in zip(keys, results):
-                writer.writerows(
-                    _eval_cells(region, engine, provenance, k, column[r], counts[r])
+        out.write(",".join(EVAL_COLUMNS) + "\n")
+        for r, region in enumerate(map(_csv_cells, regions)):
+            for group, (means, counts, _) in zip(groups, results):
+                n = counts[r]
+                out.writelines(
+                    f"{region},{group},{k},{column[r]:.10f},{n}\n"
                     for k, column in zip(config.cutoffs, means)
                 )
     return EXIT_OK
@@ -458,11 +485,15 @@ def cmd_report(args) -> int:
         out.write("\n\n".join(tables) + "\n")
         if args.csv:
             with _open_out(args.csv) as csv_out:
-                writer = csv.writer(csv_out, lineterminator="\n")
-                writer.writerow(EVAL_COLUMNS + ("better_than_engine",))
-                for region, engine, row in marked_csv:
-                    flag = str(row.better_than_engine).lower()
-                    writer.writerow(_eval_cells(region, engine, *row[:4]) + [flag])
+                # rows repeat a few regions, engines and provenances
+                quote = functools.lru_cache(maxsize=None)(_csv_cells)
+                csv_out.write(",".join(EVAL_COLUMNS) + ",better_than_engine\n")
+                csv_out.writelines(
+                    f"{quote(region, engine)},{quote(provenance)},{cutoff},"
+                    f"{mean:.10f},{n_queries},{str(better).lower()}\n"
+                    for region, engine, (provenance, cutoff, mean, n_queries, better)
+                    in marked_csv
+                )
     return EXIT_OK
 
 
@@ -625,7 +656,7 @@ _LINE_BREAKS = str.maketrans(
 
 
 def _error(exc: Exception) -> None:
-    print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+    _stderr_line(f"error: {str(exc).translate(_LINE_BREAKS)}")
 
 
 def main(argv: list[str] | None = None) -> int:

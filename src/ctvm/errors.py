@@ -27,10 +27,12 @@ def read_input(path: str | None, bundled: str | None = None) -> list[str]:
     package's data directory when path is None. A leading byte order
     mark is dropped, so it cannot spoil the first record. Lines end only
     at \\n, \\r or \\r\\n (not at every break str.splitlines() knows), so
-    a raw U+2028 or U+0085 inside a JSON string stays in its record."""
+    a raw U+2028 or U+0085 inside a JSON string stays in its record.
+    Each line keeps its line end as the file has it, as csv.reader
+    needs, so a CR inside a quoted CSV cell reads back as a CR."""
     source = os.path.join(_DATA, bundled) if path is None else path
     try:
-        with open(source, encoding="utf-8-sig") as fh:
+        with open(source, encoding="utf-8-sig", newline="") as fh:
             return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read {path or bundled}: {exc}") from exc

@@ -16,6 +16,13 @@ by that letter, longest suffix first within a letter. A word tries at
 most the five suffixes of its letter's bucket instead of a whole table
 of up to twenty.
 
+A step changes a word only when one of its suffixes ends it, so stem
+calls a step only on a word that ends as one of that step's suffixes
+ends: 1a on s, 1b on ed or ng (eed, ed, ing), 1c on y, steps 2-4 on a
+last two letters that end some suffix of the step, 5a on e and 5b on
+ll. A word turned away would have come back unchanged, so the stems
+are the same, and a one-off word skips most of the eight steps.
+
 The conditions read a word's consonant/vowel pattern, one "c" or "v"
 per letter, built in one left-to-right pass: a letter's class depends
 only on the letters before it (y is a vowel after a consonant and a
@@ -96,6 +103,11 @@ def _by_next_to_last(rules):
     return {letter: tuple(bucket) for letter, bucket in buckets.items()}
 
 
+def _endings(rules) -> frozenset:
+    """The last two letters of every suffix in an indexed step."""
+    return frozenset(rule[0][-2:] for bucket in rules.values() for rule in bucket)
+
+
 # (suffix, replacement, extra condition on the stem)
 _STEP2_RULES = _by_next_to_last((
     ("ational", "ate", None),
@@ -151,6 +163,10 @@ _STEP4_RULES = _by_next_to_last((
     ("ic", "", None),
     ("ou", "", None),
 ))
+
+_STEP2_ENDINGS = _endings(_STEP2_RULES)
+_STEP3_ENDINGS = _endings(_STEP3_RULES)
+_STEP4_ENDINGS = _endings(_STEP4_RULES)
 
 
 def _step1a(word: str) -> str:
@@ -225,12 +241,20 @@ def stem(word: str) -> str:
     w = word.lower()
     if not w.isascii() or not w.isalpha():
         return word
-    w = _step1a(w)
-    w = _step1b(w)
-    w = _step1c(w)
-    w = _apply_step(w, _STEP2_RULES, 0)
-    w = _apply_step(w, _STEP3_RULES, 0)
-    w = _apply_step(w, _STEP4_RULES, 1)
-    w = _step5a(w)
-    w = _step5b(w)
+    if w[-1:] == "s":
+        w = _step1a(w)
+    if w[-2:] in ("ed", "ng"):
+        w = _step1b(w)
+    if w[-1:] == "y":
+        w = _step1c(w)
+    if w[-2:] in _STEP2_ENDINGS:
+        w = _apply_step(w, _STEP2_RULES, 0)
+    if w[-2:] in _STEP3_ENDINGS:
+        w = _apply_step(w, _STEP3_RULES, 0)
+    if w[-2:] in _STEP4_ENDINGS:
+        w = _apply_step(w, _STEP4_RULES, 1)
+    if w[-1:] == "e":
+        w = _step5a(w)
+    if w[-2:] == "ll":
+        w = _step5b(w)
     return w

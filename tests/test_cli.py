@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -17,13 +18,13 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ctvm
 from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
-from ctvm.corpus import Tweet, format_timestamp
-from ctvm.errors import ContractViolation
+from ctvm.corpus import Query, Tweet, format_timestamp
+from ctvm.errors import ContractViolation, read_input
 
 
 def read(path) -> str:
@@ -523,6 +524,57 @@ class TestRerank:
         assert [r for r in rows if r["engine"] == "bing"] == [
             {**r, "engine": "bing", "news_id": f"bing-{r['news_id']}"} for r in expected
         ]
+
+    def test_later_engine_selects_from_first_engines_picks(
+        self, golden, tmp_path, capsys, monkeypatch
+    ):
+        """Golden's news copied under a second engine that sorts after
+        golden's: its slice scans only the tweets the first engine's
+        slice picked, one Query.matches call each, where a scan of the
+        (region, day) bucket makes one per bucket tweet; the first
+        engine's rankings are a one-engine run's."""
+        news = [json.loads(line) for line in read(golden / "news.jsonl").splitlines()]
+        copies = [{**r, "id": f"yahoo-{r['id']}", "engine": "yahoo"} for r in news]
+        write_lines(tmp_path / "news.jsonl", [json.dumps(r) for r in news + copies])
+        calls = []
+        matches = Query.matches
+        monkeypatch.setattr(
+            Query, "matches", lambda self, text: calls.append(text) or matches(self, text)
+        )
+        slices = []
+        slice_corpus = cli.slice_corpus
+
+        def counted(tweets, *args):
+            before = len(calls)
+            corpus_slice = slice_corpus(tweets, *args)
+            slices.append((corpus_slice, len(calls) - before))
+            return corpus_slice
+
+        monkeypatch.setattr(cli, "slice_corpus", counted)
+        code, out, _ = run(
+            capsys, "rerank", "--tweets", golden / "tweets.jsonl", "--news",
+            tmp_path / "news.jsonl", "--queries", golden / "queries.jsonl",
+            "--regions", "CA", "--out", "-",
+        )
+        assert code == EXIT_OK
+        (first, first_calls), (second, second_calls) = slices
+        assert (first.engine, second.engine) == ("google", "yahoo")
+        bucket = [
+            t for t in cli.ingest_tweets(
+                read(golden / "tweets.jsonl").splitlines(True),
+                cli.load_region_table(None),
+            )[0]
+            if t.region == "CA" and t.day() == first.day
+        ]
+        assert first_calls == len(bucket)
+        assert second_calls == len(first.tweets) < len(bucket)
+        assert second.tweets == first.tweets
+        rows = [json.loads(line) for line in out.splitlines()]
+        expected = [
+            json.loads(line)
+            for line in read(golden / "expected_rankings.jsonl").splitlines()
+        ]
+        assert [r for r in rows if r["engine"] == "google"] == expected
 
     def test_region_without_tweets_reproduces_engine_order(
         self, golden, capsys
@@ -1130,6 +1182,63 @@ def test_text_only_stdout_is_written_as_text(golden):
                      "--out", "-"])
     assert code == EXIT_OK
     assert sink.getvalue() == read(golden / "expected_enriched.jsonl")
+
+
+class _FullStream(io.StringIO):
+    """A stderr on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _unwritable_stderr_cases(golden, tmp_path):
+    """(argv, exit code) for a usage error, a missing input and a good
+    ingest, which also writes a stats line."""
+    out = str(tmp_path / "enriched.jsonl")
+    return [
+        (["eval", "--rankings", "x", "--judgments", "y", "--out", "z", "--k", "0"],
+         EXIT_CONTRACT),
+        (["ingest", "--tweets", str(tmp_path / "missing.jsonl"), "--out", out],
+         EXIT_INPUT),
+        (["ingest", "--tweets", str(golden / "tweets.jsonl"), "--out", out], EXIT_OK),
+    ]
+
+
+def test_unwritable_stderr_keeps_the_exit_code(golden, tmp_path, monkeypatch):
+    """A stderr that cannot take a line loses the line, not the exit
+    code, and a good run still writes its --out."""
+    for argv, want in _unwritable_stderr_cases(golden, tmp_path):
+        monkeypatch.setattr(sys, "stderr", _FullStream())
+        assert main(argv) == want, argv
+    assert read(tmp_path / "enriched.jsonl") == read(golden / "expected_enriched.jsonl")
+
+
+@pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_unwritable_stderr_process_keeps_the_exit_code(
+    redirect, unbuffered, golden, tmp_path
+):
+    """The same cases as a process with stderr on a full device or
+    closed, so the interpreter's own flush at exit is reached too; and
+    with stderr closed, ingest's statistics line stays off stdout."""
+    if redirect == "2>/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    src = str(Path(ctvm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    tweets = str(golden / "tweets.jsonl")
+    cases = _unwritable_stderr_cases(golden, tmp_path)
+    for argv, want in cases + [(["ingest", "--tweets", tweets, "--out", "-"], EXIT_OK)]:
+        done = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m ctvm.cli "$@" {redirect}', sys.executable, *argv],
+            capture_output=True, env=env, timeout=60, cwd=tmp_path,
+        )
+        assert done.returncode == want, argv
+    expected = read(golden / "expected_enriched.jsonl")
+    assert done.stdout.decode("utf-8") == expected
+    assert read(tmp_path / "enriched.jsonl") == expected
 
 
 def test_failed_csv_write_keeps_existing_report(golden, tmp_path, capsys):
@@ -1775,6 +1884,33 @@ def test_tri_region_pipeline_bytes(data_dir, tmp_path, capsys):
         assert written.read_bytes() == expected.read_bytes(), written.name
 
 
+def test_region_with_a_carriage_return_reads_back(golden, tmp_path, capsys):
+    """A region that holds a CR is quoted in eval's CSV, so report reads
+    the row whole, and its marked CSV reads back the same region."""
+    judgments = [
+        {**json.loads(line), "region": "C\rA"}
+        for line in read(golden / "judgments.jsonl").splitlines()
+    ]
+    write_lines(tmp_path / "judgments.jsonl", [json.dumps(j) for j in judgments])
+    rankings = tmp_path / "rankings.jsonl"
+    rows = tmp_path / "rows.csv"
+    marked = tmp_path / "marked.csv"
+    for argv in (
+        ["rerank", "--tweets", golden / "tweets.jsonl", "--news",
+         golden / "news.jsonl", "--queries", golden / "queries.jsonl",
+         "--regions", "CA", "--out", rankings],
+        ["eval", "--rankings", rankings, "--judgments",
+         tmp_path / "judgments.jsonl", "--out", rows],
+    ):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    code, out, err = run(capsys, "report", "--rows", rows, "--out", "-", "--csv", marked)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("[region=C\rA engine=google]\n")
+    for path in (rows, marked):
+        header, *records = csv.reader(read_input(str(path)))
+        assert records and {r[header.index("region")] for r in records} == {"C\rA"}
+
+
 def test_escape_fixture_bytes(data_dir, tmp_path, capsys):
     """Every written string field holds quotes, backslashes, control
     characters, DEL, U+2028/U+2029, non-BMP, NFD or CJK text somewhere in
@@ -1894,6 +2030,42 @@ class TestLineWriters:
             for position, news_id in enumerate(ids, start=1)
         ]
         assert list(cli._ranking_lines(query_id, engine, day, group)) == lines
+
+
+    @settings(
+        max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        cells=st.lists(
+            st.lists(
+                st.sampled_from(
+                    [",", '"', "\r", "\n", "\r\n", " ", "a", "Z", "é", "\u2028", "\U0001F600"]
+                ),
+                min_size=1,
+            ).map("".join),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example(cells=["C\rA"])
+    @example(cells=[" leading", "é, \"quoted\"", "two\r\nlines"])
+    def test_csv_cells(self, cells, tmp_path):
+        """A row written from _csv_cells reads back through read_input
+        and csv.reader as its cells, and is the row csv.writer writes
+        wherever no cell holds a CR."""
+        line = f"{cli._csv_cells(*cells)},3,0.5000000000,4\n"
+        path = tmp_path / "row.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(line)
+        assert list(csv.reader(read_input(str(path)))) == [
+            [*cells, "3", "0.5000000000", "4"]
+        ]
+        if not any("\r" in cell for cell in cells):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(
+                [*cells, 3, "0.5000000000", 4]
+            )
+            assert buf.getvalue() == line
 
 
 class TestByteOrderMark:

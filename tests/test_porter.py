@@ -14,6 +14,7 @@ indexed rules and one-pass letter classes replaced.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import random
 import string
 from pathlib import Path
@@ -248,6 +249,19 @@ PUBLISHED_WORDS = sorted(
 @pytest.mark.parametrize("word", PUBLISHED_WORDS)
 def test_published_words_match_naive(word):
     assert stem.__wrapped__(word) == naive_stem(word)
+
+
+def test_short_words_match_naive():
+    """Every a-z word of one to three letters: stem runs a step only on
+    a word that ends like one of its suffixes, and these are the words
+    whose endings are shorter than, or as long as, the guards' slices."""
+    words = (
+        "".join(letters)
+        for n in (1, 2, 3)
+        for letters in itertools.product(string.ascii_lowercase, repeat=n)
+    )
+    wrong = [w for w in words if stem.__wrapped__(w) != naive_stem(w)]
+    assert wrong == []
 
 
 def _load_perfbench_gen():
