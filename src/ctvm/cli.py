@@ -37,7 +37,7 @@ from .corpus import (
     parse_date,
     slice_corpus,
 )
-from .errors import ContractViolation, CtvmError, InputDataError, read_input
+from .errors import ContractViolation, CtvmError, InputDataError, one_line, read_input
 from .evaluation import (
     EvalRow,
     NdcgConfig,
@@ -648,15 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# each character str.splitlines breaks at, as its backslash escape, so
-# an input id that holds one cannot split an error into two lines
-_LINE_BREAKS = str.maketrans(
-    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
-)
-
-
 def _error(exc: Exception) -> None:
-    _stderr_line(f"error: {str(exc).translate(_LINE_BREAKS)}")
+    _stderr_line(f"error: {one_line(str(exc))}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the one input reader.
+"""Exception hierarchy shared across the package, the one input reader,
+and the one escape that keeps a name or message on one output line.
 
 Each exception type stands for one CLI exit code: bad input data exits
 1 and a broken contract exits 2.
@@ -7,6 +8,19 @@ Each exception type stands for one CLI exit code: bad input data exits
 import os
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# each character str.splitlines breaks at, as its backslash escape
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
+def one_line(text: str) -> str:
+    """text with each character str.splitlines breaks at written as its
+    backslash escape, so an input id or name cannot split an error line
+    or a report line in two. Every such character is unprintable, so
+    printable text is returned as it is, without a walk of the table."""
+    return text if text.isprintable() else text.translate(_LINE_BREAKS)
 
 
 class CtvmError(Exception):

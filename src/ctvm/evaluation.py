@@ -31,7 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, compress, repeat
 from operator import add, truediv
 
-from .errors import ContractViolation, InputDataError
+from .errors import ContractViolation, InputDataError, one_line
 from .judgments import RelevanceLookup
 
 PROVENANCE_ENGINE = "engine"  # the baseline compare marks the others against
@@ -243,7 +243,9 @@ def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:
 
 def format_table(rows: Sequence[EvalRow], heading: str = "") -> str:
     """Fixed-width table, one provenance per line, starred where a row
-    beat the engine. Engine first, then the other provenances by name."""
+    beat the engine. Engine first, then the other provenances by name.
+    The heading and the names are written with their line breaks
+    escaped, so each stays on its own line."""
     if not rows:
         raise ValueError("nothing to format")
     cutoffs = sorted({row.cutoff for row in rows})
@@ -251,18 +253,19 @@ def format_table(rows: Sequence[EvalRow], heading: str = "") -> str:
     for row in rows:
         by_provenance.setdefault(row.provenance, {})[row.cutoff] = row
     order = sorted(by_provenance, key=lambda p: (p != PROVENANCE_ENGINE, p))
-    name_width = max(len("ranking"), *map(len, order))
+    names = list(map(one_line, order))
+    name_width = max(len("ranking"), *map(len, names))
     # widest cell content is "x.xxxx*"; +1 keeps a gap between columns
     cell_width = max(7, *(len(f"NDCG@{k}") for k in cutoffs)) + 1
     lines = []
     if heading:
-        lines.append(heading)
+        lines.append(one_line(heading))
     header = "ranking".ljust(name_width) + "".join(
         f"NDCG@{k}".rjust(cell_width) for k in cutoffs
     )
     lines.append(header)
-    for provenance in order:
-        cells = [provenance.ljust(name_width)]
+    for provenance, name in zip(order, names):
+        cells = [name.ljust(name_width)]
         for k in cutoffs:
             row = by_provenance[provenance].get(k)
             if row is None:

@@ -77,21 +77,33 @@ class RegionTable(namedtuple("RegionTable", "entries codes lowered_names")):
 
 
 def load_region_table(path: str | None = None) -> RegionTable:
-    """Load a code,full_name CSV; defaults to the bundled US states."""
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(read_input(path, "us_states.csv"), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    reader = csv.reader(line for _, line in numbered)
+    """Load a code,full_name CSV; defaults to the bundled US states.
+
+    Blank lines and lines starting with # are skipped where a record
+    starts, and kept inside a quoted full name that spans lines.
+    csv.reader pulls exactly one record's lines before it yields the
+    row, so the feeder learns after each row that a record starts next.
+    """
+    lines = read_input(path, "us_states.csv")
+    lineno = 0
+    record_starts = True
+
+    def record_lines():
+        nonlocal lineno, record_starts
+        for lineno, line in enumerate(lines, start=1):
+            if record_starts and (not line.strip() or line.lstrip().startswith("#")):
+                continue
+            record_starts = False
+            yield line
+
     entries = []
     try:
-        for row in reader:
+        for row in csv.reader(record_lines()):
+            record_starts = True
             if len(row) != 2:
                 raise InputDataError(f"region table row needs code,full_name: {row!r}")
             entries.append((row[0].strip(), row[1].strip()))
     except csv.Error as exc:
-        lineno = numbered[reader.line_num - 1][0]
         raise InputDataError(f"{path}: bad CSV on line {lineno}: {exc}") from exc
     if not entries:
         raise InputDataError("region table is empty")

@@ -7,21 +7,19 @@ departures; we avoid them so that stems are reproducible from the printed
 rule tables alone.
 
 Within a step the longest matching suffix wins, and if its condition
-fails no other rule in that step is attempted. Steps 2-4 find that
-suffix by dispatching on the word's next-to-last letter, the control
-flow of Porter's reference C stemmer (which switches on b[k-1]): every
-rule suffix has at least two letters, so a suffix can only match a word
-that shares its next-to-last letter, and each step's rules are indexed
-by that letter, longest suffix first within a letter. A word tries at
-most the five suffixes of its letter's bucket instead of a whole table
-of up to twenty.
+fails no other rule in that step is attempted. Every suffix of steps
+2-4 has at least two letters, so it can only match a word that ends in
+its own last two letters, and each of those steps files its rules under
+those two letters, longest suffix first. One index both guards and
+dispatches the step: stem runs it only on a word whose last two letters
+are a key, and the step then tries only that key's rules, at most five
+suffixes instead of a whole table of up to twenty.
 
 A step changes a word only when one of its suffixes ends it, so stem
-calls a step only on a word that ends as one of that step's suffixes
-ends: 1a on s, 1b on ed or ng (eed, ed, ing), 1c on y, steps 2-4 on a
-last two letters that end some suffix of the step, 5a on e and 5b on
-ll. A word turned away would have come back unchanged, so the stems
-are the same, and a one-off word skips most of the eight steps.
+calls the other steps only on a word that ends as one of their
+suffixes ends: 1a on s, 1b on ed or ng (eed, ed, ing), 1c on y, 5a on e
+and 5b on ll. A word turned away would have come back unchanged, so the
+stems are the same, and a one-off word skips most of the eight steps.
 
 The conditions read a word's consonant/vowel pattern, one "c" or "v"
 per letter, built in one left-to-right pass: a letter's class depends
@@ -80,12 +78,12 @@ def _ends_cvc(word: str) -> bool:
 def _apply_step(word: str, rules, min_measure: int) -> str:
     """Apply the longest matching rule of a step, or nothing.
 
-    rules maps a next-to-last letter to that letter's rules, longest
-    suffix first. Once a suffix matches, the step is decided: either
-    that rule's condition holds and it rewrites the word, or the whole
-    step is a no-op.
+    rules maps two letters to the rules whose suffixes end in them,
+    longest suffix first. Once a suffix matches, the step is decided:
+    either that rule's condition holds and it rewrites the word, or the
+    whole step is a no-op.
     """
-    for suffix, replacement, extra in rules.get(word[-2:-1], ()):
+    for suffix, replacement, extra in rules.get(word[-2:], ()):
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > min_measure and (extra is None or extra(stem)):
@@ -94,22 +92,17 @@ def _apply_step(word: str, rules, min_measure: int) -> str:
     return word
 
 
-def _by_next_to_last(rules):
+def _by_ending(rules):
     """Index a step's rules, listed longest suffix first, by each
-    suffix's next-to-last letter; each bucket keeps the listed order."""
+    suffix's last two letters; each bucket keeps the listed order."""
     buckets: dict[str, list] = {}
     for rule in rules:
-        buckets.setdefault(rule[0][-2], []).append(rule)
-    return {letter: tuple(bucket) for letter, bucket in buckets.items()}
-
-
-def _endings(rules) -> frozenset:
-    """The last two letters of every suffix in an indexed step."""
-    return frozenset(rule[0][-2:] for bucket in rules.values() for rule in bucket)
+        buckets.setdefault(rule[0][-2:], []).append(rule)
+    return {ending: tuple(bucket) for ending, bucket in buckets.items()}
 
 
 # (suffix, replacement, extra condition on the stem)
-_STEP2_RULES = _by_next_to_last((
+_STEP2_RULES = _by_ending((
     ("ational", "ate", None),
     ("ization", "ize", None),
     ("iveness", "ive", None),
@@ -132,7 +125,7 @@ _STEP2_RULES = _by_next_to_last((
     ("eli", "e", None),
 ))
 
-_STEP3_RULES = _by_next_to_last((
+_STEP3_RULES = _by_ending((
     ("icate", "ic", None),
     ("ative", "", None),
     ("alize", "al", None),
@@ -142,7 +135,7 @@ _STEP3_RULES = _by_next_to_last((
     ("ful", "", None),
 ))
 
-_STEP4_RULES = _by_next_to_last((
+_STEP4_RULES = _by_ending((
     ("ement", "", None),
     ("ance", "", None),
     ("ence", "", None),
@@ -163,10 +156,6 @@ _STEP4_RULES = _by_next_to_last((
     ("ic", "", None),
     ("ou", "", None),
 ))
-
-_STEP2_ENDINGS = _endings(_STEP2_RULES)
-_STEP3_ENDINGS = _endings(_STEP3_RULES)
-_STEP4_ENDINGS = _endings(_STEP4_RULES)
 
 
 def _step1a(word: str) -> str:
@@ -247,11 +236,11 @@ def stem(word: str) -> str:
         w = _step1b(w)
     if w[-1:] == "y":
         w = _step1c(w)
-    if w[-2:] in _STEP2_ENDINGS:
+    if w[-2:] in _STEP2_RULES:
         w = _apply_step(w, _STEP2_RULES, 0)
-    if w[-2:] in _STEP3_ENDINGS:
+    if w[-2:] in _STEP3_RULES:
         w = _apply_step(w, _STEP3_RULES, 0)
-    if w[-2:] in _STEP4_ENDINGS:
+    if w[-2:] in _STEP4_RULES:
         w = _apply_step(w, _STEP4_RULES, 1)
     if w[-1:] == "e":
         w = _step5a(w)

@@ -24,7 +24,7 @@ import ctvm
 from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
 from ctvm.corpus import Query, Tweet, format_timestamp
-from ctvm.errors import ContractViolation, read_input
+from ctvm.errors import ContractViolation, one_line, read_input
 
 
 def read(path) -> str:
@@ -1905,10 +1905,56 @@ def test_region_with_a_carriage_return_reads_back(golden, tmp_path, capsys):
         assert run(capsys, *argv)[0] == EXIT_OK
     code, out, err = run(capsys, "report", "--rows", rows, "--out", "-", "--csv", marked)
     assert (code, err) == (EXIT_OK, "")
-    assert out.startswith("[region=C\rA engine=google]\n")
+    assert out.startswith("[region=C\\rA engine=google]\n")
     for path in (rows, marked):
         header, *records = csv.reader(read_input(str(path)))
         assert records and {r[header.index("region")] for r in records} == {"C\rA"}
+
+
+def test_one_line_escapes_exactly_the_line_breaks():
+    """one_line changes exactly the characters str.splitlines breaks at,
+    and each is unprintable, as its printable-text shortcut needs."""
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    breaks = [c for c in chars if len(f"a{c}b".splitlines()) > 1]
+    assert [c for c in chars if one_line(c) != c] == breaks
+    assert len(breaks) == 10 and not any(c.isprintable() for c in breaks)
+    assert all(one_line(f"a{c}b").isprintable() for c in breaks)
+
+
+def test_report_escapes_line_breaks_in_names(golden, tmp_path, capsys):
+    """A region and a provenance that hold an LF are written escaped in
+    the text report, so each table keeps one heading line and one line
+    per ranking, while the marked CSV keeps them raw."""
+    judgments = [
+        {**json.loads(line), "region": "C\nA"}
+        for line in read(golden / "judgments.jsonl").splitlines()
+    ]
+    write_lines(tmp_path / "judgments.jsonl", [json.dumps(j) for j in judgments])
+    rankings = [
+        {**json.loads(line), "provenance": "ctvm(C\nA)"}
+        if json.loads(line)["provenance"] == "ctvm(CA)"
+        else json.loads(line)
+        for line in read(golden / "expected_rankings.jsonl").splitlines()
+    ]
+    write_lines(tmp_path / "rankings.jsonl", [json.dumps(r) for r in rankings])
+    rows = tmp_path / "rows.csv"
+    marked = tmp_path / "marked.csv"
+    assert run(
+        capsys, "eval", "--rankings", tmp_path / "rankings.jsonl",
+        "--judgments", tmp_path / "judgments.jsonl", "--out", rows,
+    )[0] == EXIT_OK
+    code, out, err = run(capsys, "report", "--rows", rows, "--out", "-", "--csv", marked)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [
+        "[region=C\\nA engine=google]",
+        "ranking     NDCG@3  NDCG@5 NDCG@10",
+        "engine      0.6286  0.6286  0.6286",
+        "ctvm(C\\nA) 1.0000* 1.0000* 1.0000*",
+        "* better than the engine ranking at that cutoff",
+    ]
+    header, *records = csv.reader(read_input(str(marked)))
+    assert {r[header.index("region")] for r in records} == {"C\nA"}
+    assert {r[header.index("provenance")] for r in records} == {"engine", "ctvm(C\nA)"}
 
 
 def test_escape_fixture_bytes(data_dir, tmp_path, capsys):

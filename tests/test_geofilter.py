@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import unicodedata
 
@@ -70,6 +71,27 @@ class TestLoadTable:
         path = tmp_path / "regions.csv"
         path.write_text("# nothing\n")
         with pytest.raises(InputDataError):
+            load_region_table(str(path))
+
+    def test_blank_and_hash_lines_inside_a_quoted_name_are_kept(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text('XX,"Alpha\n\nBeta"\nYY,"Gamma\n#Delta"\n')
+        table = load_region_table(str(path))
+        assert table.entries == (("XX", "Alpha\n\nBeta"), ("YY", "Gamma\n#Delta"))
+        with open(path, newline="") as fh:
+            assert tuple(map(tuple, csv.reader(fh))) == table.entries
+
+    def test_hash_line_with_a_quote_between_records_is_skipped(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text('AA,Alpha\n# a "quoted" note\n\nBB,Beta\n')
+        table = load_region_table(str(path))
+        assert table.entries == (("AA", "Alpha"), ("BB", "Beta"))
+
+    def test_bad_csv_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        big = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f'# regions\nXX,"Alpha\n\nBeta"\nYY,"{big}"\n')
+        with pytest.raises(InputDataError, match=r"bad CSV on line 5: field larger"):
             load_region_table(str(path))
 
 
