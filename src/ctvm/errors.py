@@ -18,9 +18,8 @@ _LINE_BREAKS = str.maketrans(
 def one_line(text: str) -> str:
     """text with each character str.splitlines breaks at written as its
     backslash escape, so an input id or name cannot split an error line
-    or a report line in two. Every such character is unprintable, so
-    printable text is returned as it is, without a walk of the table."""
-    return text if text.isprintable() else text.translate(_LINE_BREAKS)
+    or a report line in two."""
+    return text.translate(_LINE_BREAKS)
 
 
 class CtvmError(Exception):

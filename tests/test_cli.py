@@ -24,7 +24,7 @@ import ctvm
 from ctvm import cli
 from ctvm.cli import EXIT_CONTRACT, EXIT_INPUT, EXIT_OK, main
 from ctvm.corpus import Query, Tweet, format_timestamp
-from ctvm.errors import ContractViolation, one_line, read_input
+from ctvm.errors import _LINE_BREAKS, ContractViolation, one_line, read_input
 
 
 def read(path) -> str:
@@ -1912,13 +1912,16 @@ def test_region_with_a_carriage_return_reads_back(golden, tmp_path, capsys):
 
 
 def test_one_line_escapes_exactly_the_line_breaks():
-    """one_line changes exactly the characters str.splitlines breaks at,
-    and each is unprintable, as its printable-text shortcut needs."""
-    chars = list(map(chr, range(sys.maxunicode + 1)))
-    breaks = [c for c in chars if len(f"a{c}b".splitlines()) > 1]
-    assert [c for c in chars if one_line(c) != c] == breaks
-    assert len(breaks) == 10 and not any(c.isprintable() for c in breaks)
-    assert all(one_line(f"a{c}b").isprintable() for c in breaks)
+    """one_line's table holds exactly the characters str.splitlines
+    breaks at, and its escapes keep a text on one line and read back."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    # each piece but the last ends at a break; the last code point is none
+    breaks = {piece[-1] for piece in every.splitlines(keepends=True)[:-1]}
+    assert set(map(ord, breaks)) == set(_LINE_BREAKS) and len(breaks) == 10
+    text = "a".join(sorted(breaks))
+    escaped = one_line(text)
+    assert escaped.splitlines() == [escaped]
+    assert escaped.encode("ascii").decode("unicode_escape") == text
 
 
 def test_report_escapes_line_breaks_in_names(golden, tmp_path, capsys):
