@@ -393,21 +393,26 @@ def cmd_eval(args) -> int:
     misses = sum(sum(group_misses) for *_, group_misses in results)
     if misses:
         _note(f"{misses} ranked docs had no judgment; scored 0")
-    # each region and each (engine, provenance) is quoted once
+    # each region and each (engine, provenance) is quoted once, and each
+    # (engine, provenance, cutoff) prefix is built once for every region
     groups = [_csv_cells(engine, provenance) for engine, provenance in keys]
+    columns = [
+        (f"{group},{k},", column, counts)
+        for group, (means, counts, _) in zip(groups, results)
+        for k, column in zip(config.cutoffs, means)
+    ]
     with _open_out(args.out) as out:
         out.write(",".join(EVAL_COLUMNS) + "\n")
         for r, region in enumerate(map(_csv_cells, regions)):
-            for group, (means, counts, _) in zip(groups, results):
-                n = counts[r]
-                out.writelines(
-                    f"{region},{group},{k},{column[r]:.10f},{n}\n"
-                    for k, column in zip(config.cutoffs, means)
-                )
+            lines = [
+                f"{region},{head}{column[r]:.10f},{counts[r]}\n"
+                for head, column, counts in columns
+            ]
+            out.write("".join(lines))
     return EXIT_OK
 
 
-def _read_eval_rows(path: str) -> list[tuple[str, str, EvalRow]]:
+def _read_eval_rows(path: str) -> dict[tuple[str, str], list[EvalRow]]:
     reader = csv.reader(read_input(path))
     try:
         return _eval_rows(reader, path)
@@ -415,7 +420,8 @@ def _read_eval_rows(path: str) -> list[tuple[str, str, EvalRow]]:
         raise InputDataError(f"{path}: bad CSV on line {reader.line_num}: {exc}")
 
 
-def _eval_rows(reader, path: str) -> list[tuple[str, str, EvalRow]]:
+def _eval_rows(reader, path: str) -> dict[tuple[str, str], list[EvalRow]]:
+    """The rows grouped by (region, engine), each group in file order."""
     header = next(reader, None)
     if header is None or not set(EVAL_COLUMNS) <= set(header):
         raise InputDataError(
@@ -426,30 +432,27 @@ def _eval_rows(reader, path: str) -> list[tuple[str, str, EvalRow]]:
     where = {name: i for i, name in enumerate(header)}
     region, engine, provenance, cutoff, value, n_queries = map(where.get, EVAL_COLUMNS)
     width = 1 + max(map(where.get, EVAL_COLUMNS))
-    rows: list[tuple[str, str, EvalRow]] = []
+    groups: dict[tuple[str, str], list[EvalRow]] = {}
     for record in filter(None, reader):  # blank lines read as []
         try:
             if len(record) < width:
                 raise ValueError("row has fewer fields than the header")
-            row = EvalRow(
-                record[provenance],
-                int(record[cutoff]),
-                float(record[value]),
-                int(record[n_queries]),
-            )
+            k, mean = int(record[cutoff]), float(record[value])
+            n = int(record[n_queries])
             # eval writes no other rows, and a nan engine row stars nothing
-            if row.cutoff < 1 or row.n_queries < 1 or not 0 <= row.mean_ndcg <= 1:
+            if k < 1 or n < 1 or not 0 <= mean <= 1:
                 raise ValueError(
                     "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
                 )
-            rows.append((record[region], record[engine], row))
         except ValueError as exc:
             raise InputDataError(
                 f"{path}: bad eval row on line {reader.line_num}: {exc}"
             )
-    if not rows:
+        row = EvalRow(record[provenance], k, mean, n)
+        groups.setdefault((record[region], record[engine]), []).append(row)
+    if not groups:
         raise InputDataError(f"no eval rows in {path}")
-    return rows
+    return groups
 
 
 def _same_out_file(a: str, b: str) -> bool:
@@ -465,12 +468,9 @@ def _same_out_file(a: str, b: str) -> bool:
 def cmd_report(args) -> int:
     if args.csv and _same_out_file(args.out, args.csv):
         raise ContractViolation(f"--out and --csv name the same file: {args.csv}")
-    rows = _read_eval_rows(args.rows)
-    groups: dict[tuple[str, str], list[EvalRow]] = {}
-    for region, engine, row in rows:
-        groups.setdefault((region, engine), []).append(row)
+    groups = _read_eval_rows(args.rows)
     tables: list[str] = []
-    marked_csv: list[tuple[str, str, EvalRow]] = []
+    marked_groups: list[tuple[str, list[EvalRow]]] = []
     for (region, engine), group_rows in sorted(groups.items()):
         try:
             marked = compare(group_rows)
@@ -478,21 +478,22 @@ def cmd_report(args) -> int:
             raise InputDataError(f"{args.rows}: {region}/{engine}: {exc}")
         heading = f"[region={region} engine={engine}]"
         tables.append(format_table(marked, heading))
-        marked_csv.extend((region, engine, row) for row in marked)
+        if args.csv:
+            marked_groups.append((_csv_cells(region, engine), marked))
     # --csv is written inside the --out block, so a failed --csv write
     # also leaves an existing --out file unchanged.
     with _open_out(args.out) as out:
         out.write("\n\n".join(tables) + "\n")
         if args.csv:
             with _open_out(args.csv) as csv_out:
-                # rows repeat a few regions, engines and provenances
+                # rows repeat a few provenances
                 quote = functools.lru_cache(maxsize=None)(_csv_cells)
                 csv_out.write(",".join(EVAL_COLUMNS) + ",better_than_engine\n")
                 csv_out.writelines(
-                    f"{quote(region, engine)},{quote(provenance)},{cutoff},"
+                    f"{group},{quote(provenance)},{cutoff},"
                     f"{mean:.10f},{n_queries},{str(better).lower()}\n"
-                    for region, engine, (provenance, cutoff, mean, n_queries, better)
-                    in marked_csv
+                    for group, marked in marked_groups
+                    for provenance, cutoff, mean, n_queries, better in marked
                 )
     return EXIT_OK
 

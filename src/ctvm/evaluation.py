@@ -19,8 +19,9 @@ per position: dcg's terms in dcg's order for every region (builtin
 sum() compensates from Python 3.12, which would change the eval CSV).
 
 ndcg_columns scores every ranking exactly. mean_ndcg alone applies
-require_complete, and a region it leaves with no query reads count 0
-and nan means; whether that is an error is the caller's decision.
+require_complete, and averages each (group, cutoff) column at once: the
+math.fsum of each region's kept values over its count, or math.nan itself
+where the count is 0; whether that is an error is the caller's decision.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, compress, repeat
-from operator import add, truediv
+from operator import add, not_, truediv
 
 from .errors import ContractViolation, InputDataError, one_line
 from .judgments import RelevanceLookup
@@ -193,16 +194,21 @@ def mean_ndcg(
     results = []
     for scored in ndcg_columns(groups, lookup, regions, config):
         unjudged = list(zip(*(unjudged for _, unjudged, _ in scored)))
-        kept = [[not (require_complete and n) for n in m] for m in unjudged]
+        # kept[r][u]: whether unit u counts under regions[r]
+        every = [True] * len(scored)
+        kept = [list(map(not_, m)) if require_complete else every for m in unjudged]
         counts = list(map(sum, kept))
-        means = [
-            [
-                math.fsum(compress(values, keep)) / n if n else math.nan
-                for values, keep, n in zip(zip(*column), kept, counts)
-            ]
-            for column in zip(*(values for _, _, values in scored))
-        ]
-        misses = [sum(compress(m, keep)) for m, keep in zip(unjudged, kept)]
+        # a count-0 region sums nothing, divides by 1 and reads math.nan
+        divisors = [n or 1 for n in counts]
+        empty = [r for r, n in enumerate(counts) if not n]
+        means = []
+        for column in zip(*(values for _, _, values in scored)):
+            sums = map(math.fsum, map(compress, zip(*column), kept))
+            column_means = list(map(truediv, sums, divisors))
+            for r in empty:
+                column_means[r] = math.nan
+            means.append(column_means)
+        misses = list(map(sum, map(compress, unjudged, kept)))
         results.append((means, counts, misses))
     return results
 
@@ -211,8 +217,10 @@ def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:
     """Mark every non-engine row that strictly beats the engine row at
     the same cutoff. Ties and losses stay unmarked. Each (provenance,
     cutoff) may have one row, and every other row needs an engine row at
-    its cutoff."""
-    rows = list(rows)
+    its cutoff. A row may be a plain tuple of EvalRow's fields. Returns
+    one EvalRow per row, in order, marked True or False itself; an
+    EvalRow that already carries its mark is returned as it is."""
+    rows = [row if type(row) is EvalRow else EvalRow(*row) for row in rows]
     cells: dict[tuple[str, int], EvalRow] = {}
     for row in rows:
         cell = (row.provenance, row.cutoff)
@@ -232,12 +240,11 @@ def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:
                     f"no engine row at cutoff {row.cutoff} to compare "
                     f"{row.provenance} against"
                 )
-            better = row.mean_ndcg > baseline.mean_ndcg
-        # built directly: _replace costs more, and report marks one row
-        # per (provenance, cutoff)
-        marked.append(
-            EvalRow(row.provenance, row.cutoff, row.mean_ndcg, row.n_queries, better)
-        )
+            better = bool(row.mean_ndcg > baseline.mean_ndcg)
+        # report's unstarred rows come marked False already and are kept
+        if row.better_than_engine is not better:
+            row = EvalRow(*row[:4], better)  # _replace costs more
+        marked.append(row)
     return marked
 
 

@@ -219,6 +219,35 @@ def naive_mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def naive_compare(rows) -> tuple[list[tuple] | None, str | None]:
+    """compare's (marked rows, None), or (None, its error message), from
+    the contract. Each row is read as (provenance, cutoff, mean,
+    n_queries, ...). The first (provenance, cutoff) repeated in input
+    order is the error; else the first non-engine row in input order
+    with no engine row at its cutoff. Each row's mark is True exactly
+    when it is not the engine's and its mean beats the engine's at its
+    cutoff."""
+    rows = [tuple(row)[:4] for row in rows]
+    seen = []
+    for provenance, cutoff, _, _ in rows:
+        if (provenance, cutoff) in seen:
+            return None, f"two {provenance} rows at cutoff {cutoff}"
+        seen.append((provenance, cutoff))
+    marked = []
+    for provenance, cutoff, mean, n_queries in rows:
+        engine = [m for p, k, m, _ in rows if p == "engine" and k == cutoff]
+        if provenance == "engine":
+            better = False
+        elif not engine:
+            return None, (
+                f"no engine row at cutoff {cutoff} to compare {provenance} against"
+            )
+        else:
+            better = mean > engine[0]
+        marked.append((provenance, cutoff, mean, n_queries, better))
+    return marked, None
+
+
 def naive_aggregate(records, min_judges: int):
     """aggregate's (cells, counts) from the contract: every record's
     label goes through parse_label, which is shared with the package as

@@ -1659,7 +1659,9 @@ def test_nul_byte_in_csv_exits_cleanly(command, flag, golden, tmp_path, capsys):
 def dict_reader_eval_rows(lines: list[str], path: str):
     """report's rows as csv.DictReader reads them: a repeated column
     name reads its last column, a column past the row's end reads None,
-    and blank lines are skipped. Returns the rows or the error line."""
+    and blank lines are skipped. Returns the ((region, engine), rows)
+    groups, in order of first appearance and each in file order, or the
+    error line."""
     reader = csv.DictReader(lines)
     try:
         if reader.fieldnames is None or not set(cli.EVAL_COLUMNS) <= set(
@@ -1669,7 +1671,7 @@ def dict_reader_eval_rows(lines: list[str], path: str):
                 f"{path} does not look like eval output "
                 f"(need columns {', '.join(cli.EVAL_COLUMNS)})"
             )
-        rows = []
+        groups = {}
         for record in reader:
             try:
                 if None in map(record.get, cli.EVAL_COLUMNS):
@@ -1684,12 +1686,13 @@ def dict_reader_eval_rows(lines: list[str], path: str):
                     raise ValueError(
                         "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
                     )
-                rows.append((record["region"], record["engine"], row))
+                key = (record["region"], record["engine"])
+                groups.setdefault(key, []).append(row)
             except ValueError as exc:
                 return f"{path}: bad eval row on line {reader.line_num}: {exc}"
     except csv.Error as exc:
         return f"{path}: bad CSV on line {reader.reader.line_num}: {exc}"
-    return rows or f"no eval rows in {path}"
+    return list(groups.items()) or f"no eval rows in {path}"
 
 
 # every column, in any order, with repeats and extras
@@ -1716,7 +1719,7 @@ def test_eval_rows_read_as_dict_reader_reads_them(header, lines):
     expected = dict_reader_eval_rows(lines, "rows.csv")
     with mock.patch.object(cli, "read_input", lambda path: lines):
         try:
-            got = cli._read_eval_rows("rows.csv")
+            got = list(cli._read_eval_rows("rows.csv").items())
         except cli.InputDataError as exc:
             got = str(exc)
     assert got == expected

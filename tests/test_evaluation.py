@@ -22,7 +22,13 @@ from ctvm.evaluation import (
 )
 from ctvm.judgments import JudgmentRecord, RelevanceLookup, aggregate
 
-from oracles import naive_dcg, naive_mean, naive_ndcg, ranking_relevances
+from oracles import (
+    naive_compare,
+    naive_dcg,
+    naive_mean,
+    naive_ndcg,
+    ranking_relevances,
+)
 
 NDCG_TOL = 1e-9
 
@@ -676,6 +682,40 @@ class TestCompare:
         rows = [row("engine", 5, 0.5), row("ctvm(CA)", 5, 0.9)]
         with pytest.raises(ContractViolation, match=r"two ctvm\(CA\) rows"):
             compare([*rows, row("ctvm(CA)", 5, 0.1)])
+
+
+# few provenances, cutoffs and means, so that cells repeat, engine
+# cutoffs go missing and means tie; each row is an EvalRow or the plain
+# tuple of its fields, with a mark of any type
+COMPARE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["engine", "ctvm(CA)", "ctvm(NY)"]),
+        st.sampled_from([3, 5]),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]),
+        st.integers(1, 4),
+        st.sampled_from([False, True, 0, 1, None, "x"]),
+    ).flatmap(lambda fields: st.sampled_from([EvalRow(*fields), fields])),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMPARE_ROWS)
+def test_compare_agrees_with_oracle(rows):
+    expected, error = naive_compare(rows)
+    try:
+        got = compare(iter(rows))
+    except ContractViolation as exc:
+        assert str(exc) == error
+        return
+    assert error is None
+    assert got == expected
+    for row, marked in zip(rows, got):
+        assert type(marked) is EvalRow
+        assert type(marked.better_than_engine) is bool  # True or False itself
+        # an EvalRow that already carries its mark comes back as it is
+        kept = type(row) is EvalRow and row.better_than_engine is marked[4]
+        assert (marked is row) == kept
 
 
 class TestFormatTable:

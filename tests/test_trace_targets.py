@@ -8,21 +8,22 @@ from __future__ import annotations
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing() -> types.ModuleType:
-    """Run perfbench/tracing.py's source as a module without importing
+def load_perfbench(name: str) -> types.ModuleType:
+    """Run perfbench/<name>.py's source as a module without importing
     it, so nothing is written under perfbench/ (no bytecode cache)."""
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    code = compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec")
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
     exec(code, module.__dict__)
     return module
 
 
 def test_every_trace_target_exists():
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     try:
         tracer.install()
         assert tracer.missing == []
@@ -53,7 +54,7 @@ def test_traced_pipeline_counts_every_layer(data_dir, tmp_path, capsys):
         ],
         ["report", "--rows", rows, "--out", report],
     ]
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     try:
         tracer.install()
