@@ -21,6 +21,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shutil
 import sys
 from datetime import date
@@ -36,6 +37,7 @@ from .corpus import (
     load_queries,
     parse_date,
     slice_corpus,
+    tweet_pools,
 )
 from .errors import ContractViolation, CtvmError, InputDataError, one_line, read_input
 from .evaluation import (
@@ -155,9 +157,22 @@ def _parse_region_list(value: str) -> list[str]:
     return regions
 
 
+# ASCII digits only, as for dates: int() would also take a sign,
+# underscores and other scripts' digits ("+5", "0_3", "٣")
+_DIGITS_RE = re.compile("[0-9]+")
+
+
+def _digits(value: str) -> int:
+    """The integer that value spells in ASCII digits once stripped."""
+    value = value.strip()
+    if not _DIGITS_RE.fullmatch(value):
+        raise ValueError(f"not ASCII digits: {value!r}")
+    return int(value)
+
+
 def _positive_int(value: str) -> int:
     with contextlib.suppress(ValueError):
-        number = int(value)
+        number = _digits(value)
         if number >= 1:
             return number
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
@@ -172,7 +187,7 @@ def _parse_date(value: str) -> date:
 
 def _parse_cutoffs(value: str) -> tuple[int, ...]:
     try:
-        cutoffs = tuple(int(part) for part in value.split(","))
+        cutoffs = tuple(map(_digits, value.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad cutoff list: {value!r}")
     if any(k < 1 for k in cutoffs):
@@ -254,15 +269,10 @@ def cmd_rerank(args) -> int:
         groups.setdefault(
             (doc.query_id, doc.engine, doc.retrieved_date), []
         ).append(doc)
-    # Each slice's tweets come from one (region, day) bucket, so
-    # slice_corpus filters that bucket, not every tweet, per slice. The
-    # engine does not decide which tweets a slice holds, so the first
-    # engine's picks for a (query, region, day) are every later
-    # engine's pool.
-    buckets: dict[tuple[str | None, date], list] = {}
-    for tweet in tweets:
-        buckets.setdefault((tweet.region, tweet.day()), []).append(tweet)
-    picks: dict[tuple[str, str, date], tuple] = {}
+    # The engine does not decide which tweets a slice holds, so every
+    # engine's slice of a (query, region, day) selects from one pool:
+    # the tweets that one pass filed there.
+    pools = tweet_pools(tweets, queries, args.regions)
 
     lines: list[str] = []
     for (query_id, engine, day), group in sorted(groups.items()):
@@ -273,11 +283,12 @@ def cmd_rerank(args) -> int:
                 f"news references query {query_id!r} missing from {args.queries}"
             )
         query, pipeline = pipelines[query_id]
-        slices = []
-        for r in args.regions:
-            pool = picks.get((query_id, r, day), buckets.get((r, day), ()))
-            slices.append(slice_corpus(pool, group, query, r, day, engine))
-            picks[query_id, r, day] = slices[-1].tweets
+        slices = [
+            slice_corpus(
+                pools.get((query_id, r, day), ()), group, query, r, day, engine
+            )
+            for r in args.regions
+        ]
         rankings = [(PROVENANCE_ENGINE, engine_ranking(slices[0]), None)]
         # every region ranks this group's docs, so each is vectorized once
         news_vectors: dict = {}
@@ -367,6 +378,14 @@ def cmd_eval(args) -> int:
     lookup, agg_report = aggregate(
         records, min_judges=args.min_judges, round_scores=args.round_relevance
     )
+    if args.regions:
+        kept = lookup.regions()
+        unjudged = [r for r in args.regions if r not in kept]
+        if unjudged:
+            raise InputDataError(
+                f"regions {unjudged} have no judgment cell with at least "
+                f"{args.min_judges} judges in {args.judgments}"
+            )
     if agg_report.cells_dropped:
         _note(
             f"{agg_report.cells_dropped} judgment cells dropped "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from datetime import date, datetime, timezone
 from types import SimpleNamespace
 
@@ -88,9 +88,12 @@ class Query(namedtuple("Query", "id variants")):
     def matches(self, text: str) -> bool:
         """Whether text holds a variant, compared as tokenize compares
         them, in lower_nfc form."""
-        lowered = lower_nfc(text)
-        # a loop rather than any(): rerank calls this once per scanned
-        # tweet, and any() would build a generator each time
+        return self.mentioned_in(lower_nfc(text))
+
+    def mentioned_in(self, lowered: str) -> bool:
+        """Whether text already in lower_nfc form holds a variant."""
+        # a loop rather than any(): tweet_pools calls this once per
+        # (tweet, query), and any() would build a generator each time
         for v in self.variants:
             if v in lowered:
                 return True
@@ -199,6 +202,28 @@ def slice_corpus(
     ]
     picked.sort(key=lambda t: (t.timestamp, t.id))
     return CorpusSlice(query, region, day, engine, tuple(picked), tuple(docs))
+
+
+def tweet_pools(
+    tweets: Iterable[Tweet], queries: Sequence[Query], regions: Iterable[str]
+) -> dict[tuple[str, str, date], list[Tweet]]:
+    """Each (query id, region, day)'s tweets, in input order: the tweets
+    from one of regions on that day whose text mentions the query. One
+    pass lowers each such tweet's text once and files the tweet under
+    every query it mentions, so a pool is the tweets slice_corpus picks
+    for its cell, and slice_corpus can take it in place of every tweet."""
+    wanted = frozenset(regions)
+    pools: dict[tuple[str, str, date], list[Tweet]] = {}
+    for tweet in tweets:
+        region = tweet.region
+        if region not in wanted:
+            continue
+        day = tweet.day()
+        lowered = lower_nfc(tweet.text)
+        for query in queries:
+            if query.mentioned_in(lowered):
+                pools.setdefault((query.id, region, day), []).append(tweet)
+    return pools
 
 
 def _record_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:

@@ -525,14 +525,13 @@ class TestRerank:
             {**r, "engine": "bing", "news_id": f"bing-{r['news_id']}"} for r in expected
         ]
 
-    def test_later_engine_selects_from_first_engines_picks(
+    def test_every_engine_selects_from_one_pool(
         self, golden, tmp_path, capsys, monkeypatch
     ):
-        """Golden's news copied under a second engine that sorts after
-        golden's: its slice scans only the tweets the first engine's
-        slice picked, one Query.matches call each, where a scan of the
-        (region, day) bucket makes one per bucket tweet; the first
-        engine's rankings are a one-engine run's."""
+        """Golden's news copied under a second engine: each engine's
+        slice makes one Query.matches call per tweet it places, fewer
+        than the (region, day) holds, both slices hold the same tweets,
+        and the first engine's rankings are a one-engine run's."""
         news = [json.loads(line) for line in read(golden / "news.jsonl").splitlines()]
         copies = [{**r, "id": f"yahoo-{r['id']}", "engine": "yahoo"} for r in news]
         write_lines(tmp_path / "news.jsonl", [json.dumps(r) for r in news + copies])
@@ -566,8 +565,7 @@ class TestRerank:
             )[0]
             if t.region == "CA" and t.day() == first.day
         ]
-        assert first_calls == len(bucket)
-        assert second_calls == len(first.tweets) < len(bucket)
+        assert first_calls == second_calls == len(first.tweets) < len(bucket)
         assert second.tweets == first.tweets
         rows = [json.loads(line) for line in out.splitlines()]
         expected = [
@@ -684,6 +682,16 @@ class TestEval:
         cutoffs = [line.split(",")[3] for line in out.splitlines()[1:]]
         assert cutoffs == ["1", "2", "1", "2"]
 
+    def test_integer_flags_take_ascii_digits_with_spaces(self):
+        """Spaces around a number or a cutoff still parse; a sign, an
+        underscore or another script's digit is a usage error
+        (tests/test_guards.py's BAD_VALUES)."""
+        args = cli.build_parser().parse_args(
+            ["eval", "--rankings", "r", "--judgments", "j", "--out", "-",
+             "--k", "3, 5 ,1", "--min-judges", " 03 "]
+        )
+        assert (args.cutoffs, args.min_judges) == ((1, 3, 5), 3)
+
     def test_literal_variant_ignores_order(self, golden, capsys):
         # no positional discount, so engine and reranked rows all score 1
         code, out, _ = run(
@@ -752,23 +760,55 @@ class TestEval:
         assert code == EXIT_INPUT
         assert "no usable judgments" in err
 
-    def test_unjudged_region_scores_zero_with_note(self, golden, capsys):
+    @pytest.mark.parametrize(
+        "flags, unjudged, min_judges",
+        [
+            ((), "['TX']", 3),
+            (("--require-complete",), "['TX']", 3),
+            # golden's CA cells have three judges each
+            (("--min-judges", "4"), "['CA', 'TX']", 4),
+        ],
+        ids=["no-judgments", "require-complete", "under-min-judges"],
+    )
+    def test_region_without_kept_cells_exits_one(
+        self, flags, unjudged, min_judges, golden, capsys
+    ):
+        """A --regions region with no judgment cell left after aggregation
+        is named on one error line, not scored 0 on every row."""
         code, out, err = run(
-            capsys,
-            "eval",
-            "--rankings",
-            golden / "expected_rankings.jsonl",
-            "--judgments",
-            golden / "judgments.jsonl",
-            "--regions",
-            "TX",
-            "--out",
-            "-",
+            capsys, "eval", "--rankings", golden / "expected_rankings.jsonl",
+            "--judgments", golden / "judgments.jsonl", "--regions", "CA,TX",
+            *flags, "--out", "-",
         )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.splitlines() == [
+            f"error: regions {unjudged} have no judgment cell with at least "
+            f"{min_judges} judges in {golden / 'judgments.jsonl'}"
+        ]
+
+    def test_region_whose_cells_fall_under_min_judges_exits_one(
+        self, golden, tmp_path, capsys
+    ):
+        """A region with judgments, every cell of them under --min-judges,
+        is named while a region with kept cells is scored."""
+        lines = read(golden / "judgments.jsonl").splitlines()
+        records = [json.loads(line) for line in lines]
+        thin = [{**r, "region": "NY"} for r in records if r["judge_id"] != "ca-j3"]
+        write_lines(tmp_path / "judgments.jsonl", lines + list(map(json.dumps, thin)))
+        argv = (
+            "eval", "--rankings", golden / "expected_rankings.jsonl",
+            "--judgments", tmp_path / "judgments.jsonl", "--out", "-",
+        )
+        code, out, err = run(capsys, *argv, "--regions", "CA,NY")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            "error: regions ['NY'] have no judgment cell with at least 3 judges "
+            f"in {tmp_path / 'judgments.jsonl'}\n"
+        )
+        code, _, _ = run(capsys, *argv, "--regions", "CA,NY", "--min-judges", "2")
         assert code == EXIT_OK
-        values = {line.split(",")[4] for line in out.splitlines()[1:]}
-        assert values == {"0.0000000000"}
-        assert "no judgment" in err
+        code, out, _ = run(capsys, *argv, "--regions", "CA")
+        assert code == EXIT_OK and out == read(golden / "expected_rows.csv")
 
     def test_require_complete_drops_partial_queries(self, tmp_path, capsys):
         rankings = tmp_path / "rankings.jsonl"

@@ -4,7 +4,7 @@ import json
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ctvm.corpus import (
     CorpusSlice,
@@ -19,6 +19,7 @@ from ctvm.corpus import (
     parse_date,
     parse_timestamp,
     slice_corpus,
+    tweet_pools,
 )
 from ctvm.errors import InputDataError
 from ctvm.textproc import lower_nfc, tokenize
@@ -694,3 +695,84 @@ class TestSliceInvariants:
     def test_empty_slice_is_fine(self):
         sliced = CorpusSlice(QUERY, "CA", DAY, "google", (), ())
         assert sliced.tweets == () and sliced.news == ()
+
+
+# Pieces of query variants and tweet texts: "b" and "ab" are each a
+# substring of a longer piece, and the non-ASCII ones lower or compose
+# only in lower_nfc form (NFD e + acute, a capital J + caron with no
+# precomposed capital, sharp s, dotted capital I).
+PIECES = ("a", "b", "ab", "aba", "caf\u00e9", "e\u0301", "\u01f0", "\u00df", " ")
+TEXT_PIECES = PIECES + ("A", "AB", "CAFE\u0301", "J\u030c", "\u0130", "x")
+POOL_REGIONS = ("CA", "NY", "TX")
+
+
+@st.composite
+def pool_inputs(draw) -> tuple[list[Tweet], list[Query], list[str]]:
+    variants = st.lists(st.sampled_from(PIECES), min_size=1, max_size=3).map(
+        lambda parts: lower_nfc("".join(parts)).strip()
+    ).filter(bool)
+    queries = [
+        Query(f"q{i}", tuple(draw(st.lists(variants, min_size=1, max_size=3))))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    texts = st.lists(st.sampled_from(TEXT_PIECES), min_size=1, max_size=6).map(
+        "".join
+    ).filter(str.strip)
+    tweets = [
+        Tweet(
+            f"t{i}",
+            draw(texts),
+            # 21:00 to 01:00 UTC, so the tweets fall on two days
+            datetime(2011, 12, 12, 23, tzinfo=UTC)
+            + timedelta(hours=draw(st.integers(-2, 2))),
+            region=draw(st.sampled_from(POOL_REGIONS + (None,))),
+        )
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    regions = draw(st.lists(st.sampled_from(POOL_REGIONS), min_size=1, unique=True))
+    return tweets, queries, regions
+
+
+class TestTweetPools:
+    """tweet_pools files each tweet once per query it mentions; each pool
+    must be exactly a full scan's picks for its cell, in input order,
+    since slice_corpus re-checks a pool but cannot see a dropped tweet."""
+
+    @example(
+        (
+            [
+                make_tweet("t1", text="AB and CAFE\u0301"),
+                make_tweet("t2", text="nothing here"),
+                make_tweet("t3", text="ab", region=None),
+                make_tweet("t4", text="ab", region="TX"),
+                make_tweet("t5", text="B", hour=13),
+            ],
+            [
+                Query("long", ("ab",)),
+                Query("short", ("b",)),
+                Query("cafe", ("zz", "caf\u00e9")),
+            ],
+            ["CA", "NY"],
+        )
+    )
+    @given(pool_inputs())
+    def test_each_pool_is_a_full_scans_picks(self, inputs):
+        tweets, queries, regions = inputs
+        pools = tweet_pools(tweets, queries, regions)
+        days = {t.day() for t in tweets}
+        expected = {
+            (q.id, r, d): [
+                t
+                for t in tweets
+                if t.region == r and t.day() == d and q.matches(t.text)
+            ]
+            for q in queries
+            for r in regions
+            for d in days
+        }
+        assert pools == {cell: picks for cell, picks in expected.items() if picks}
+        for (query_id, region, day), pool in pools.items():
+            (query,) = (q for q in queries if q.id == query_id)
+            assert slice_corpus(pool, [], query, region, day, "google") == (
+                slice_corpus(tweets, [], query, region, day, "google")
+            )

@@ -291,7 +291,7 @@ def test_mutated_fixture_exits_cleanly(name, data_dir, tmp_path, capsys):
 
 # one bad value for each type= converter and choice, by stage
 BAD_VALUES = {
-    "ingest": (("--max-text-len", "-5"),),
+    "ingest": (("--max-text-len", "-5"), ("--max-text-len", "2_80")),
     "rerank": (
         ("--max-text-len", "0"),
         ("--date", "2011-13-01"),
@@ -301,7 +301,14 @@ BAD_VALUES = {
     "eval": (
         ("--k", "0"),
         ("--k", "3,,5"),
+        # int() takes each of these: other scripts' digits, a sign, an
+        # underscore between digits
+        ("--k", "\u0663, +5"),
+        ("--k", "1_0"),
         ("--min-judges", "1e3"),
+        ("--min-judges", " 0_3"),
+        ("--min-judges", "+3"),
+        ("--min-judges", "\u0663"),
         ("--regions", " , "),
         ("--ndcg", "dcg"),
     ),
