@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import itertools
 import json
@@ -118,7 +117,11 @@ def _open_out(path: str):
         return
     tmp = f"{path}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:  # the temp file is ours; name the user's path
+        raise InputDataError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with fh:
             if os.path.exists(path):
                 shutil.copymode(path, tmp)
             yield fh
@@ -176,6 +179,12 @@ def _positive_int(value: str) -> int:
         if number >= 1:
             return number
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+
+
+def _out_path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("need a path or -, got ''")
+    return value
 
 
 def _parse_date(value: str) -> date:
@@ -489,30 +498,27 @@ def cmd_report(args) -> int:
         raise ContractViolation(f"--out and --csv name the same file: {args.csv}")
     groups = _read_eval_rows(args.rows)
     tables: list[str] = []
-    marked_groups: list[tuple[str, list[EvalRow]]] = []
-    for (region, engine), group_rows in sorted(groups.items()):
+    marked_groups: list[tuple[str, list[EvalRow], list[bool]]] = []
+    for (region, engine), rows in sorted(groups.items()):
         try:
-            marked = compare(group_rows)
+            marks = compare(rows)
         except ContractViolation as exc:  # the rows came from the file
             raise InputDataError(f"{args.rows}: {region}/{engine}: {exc}")
-        heading = f"[region={region} engine={engine}]"
-        tables.append(format_table(marked, heading))
+        tables.append(format_table(rows, marks, f"[region={region} engine={engine}]"))
         if args.csv:
-            marked_groups.append((_csv_cells(region, engine), marked))
+            marked_groups.append((_csv_cells(region, engine), rows, marks))
     # --csv is written inside the --out block, so a failed --csv write
     # also leaves an existing --out file unchanged.
     with _open_out(args.out) as out:
         out.write("\n\n".join(tables) + "\n")
         if args.csv:
             with _open_out(args.csv) as csv_out:
-                # rows repeat a few provenances
-                quote = functools.lru_cache(maxsize=None)(_csv_cells)
                 csv_out.write(",".join(EVAL_COLUMNS) + ",better_than_engine\n")
                 csv_out.writelines(
-                    f"{group},{quote(provenance)},{cutoff},"
-                    f"{mean:.10f},{n_queries},{str(better).lower()}\n"
-                    for group, marked in marked_groups
-                    for provenance, cutoff, mean, n_queries, better in marked
+                    f"{group},{_csv_cells(provenance)},{cutoff},"
+                    f"{mean:.10f},{n_queries},{str(marked).lower()}\n"
+                    for group, rows, marks in marked_groups
+                    for (provenance, cutoff, mean, n_queries), marked in zip(rows, marks)
                 )
     return EXIT_OK
 
@@ -559,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach region codes to raw tweet JSONL",
     )
     p_ingest.add_argument("--tweets", required=True, metavar="PATH")
-    p_ingest.add_argument("--out", required=True, metavar="PATH")
+    p_ingest.add_argument("--out", required=True, type=_out_path, metavar="PATH")
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_rerank = sub.add_parser(
@@ -570,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--tweets", required=True, metavar="PATH")
     p_rerank.add_argument("--news", required=True, metavar="PATH")
     p_rerank.add_argument("--queries", required=True, metavar="PATH")
-    p_rerank.add_argument("--out", required=True, metavar="PATH")
+    p_rerank.add_argument("--out", required=True, type=_out_path, metavar="PATH")
     p_rerank.add_argument(
         "--regions",
         type=_parse_region_list,
@@ -610,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--rankings", required=True, metavar="PATH")
     p_eval.add_argument("--judgments", required=True, metavar="PATH")
-    p_eval.add_argument("--out", required=True, metavar="PATH")
+    p_eval.add_argument("--out", required=True, type=_out_path, metavar="PATH")
     p_eval.add_argument(
         "--regions",
         type=_parse_region_list,
@@ -657,10 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="render eval rows as marked comparison tables",
     )
     p_report.add_argument("--rows", required=True, metavar="PATH")
-    p_report.add_argument("--out", default="-", metavar="PATH")
+    p_report.add_argument("--out", default="-", type=_out_path, metavar="PATH")
     p_report.add_argument(
         "--csv",
         default=None,
+        type=_out_path,
         metavar="PATH",
         help="also write marked rows as CSV",
     )

@@ -100,12 +100,8 @@ def ndcg(relevances: Sequence[float], k: int, config: NdcgConfig = DEFAULT_CONFI
 
 
 # One mean NDCG of the eval CSV: a named tuple, because report builds
-# one per row it reads and compare marks each again.
-EvalRow = namedtuple(
-    "EvalRow",
-    "provenance cutoff mean_ndcg n_queries better_than_engine",
-    defaults=(False,),
-)
+# one per row it reads.
+EvalRow = namedtuple("EvalRow", "provenance cutoff mean_ndcg n_queries")
 
 
 def ndcg_columns(
@@ -134,9 +130,9 @@ def ndcg_columns(
     # cutoff's (length of the prefix it reads, ideal DCG column))
     unit_table: dict[tuple[str, frozenset[str]], tuple] = {}
     zeros = [0.0] * len(regions)
-    for units in groups:
+    for g, units in enumerate(groups):
         if not units:
-            raise InputDataError(f"no rankings to evaluate for region {regions[0]}")
+            raise InputDataError(f"group {g} has no rankings to evaluate")
         scored = []
         for query_id, ids in units:
             unit_key = (query_id, frozenset(ids))
@@ -213,53 +209,46 @@ def mean_ndcg(
     return results
 
 
-def compare(rows: Iterable[EvalRow]) -> list[EvalRow]:
-    """Mark every non-engine row that strictly beats the engine row at
-    the same cutoff. Ties and losses stay unmarked. Each (provenance,
-    cutoff) may have one row, and every other row needs an engine row at
-    its cutoff. A row may be a plain tuple of EvalRow's fields. Returns
-    one EvalRow per row, in order, marked True or False itself; an
-    EvalRow that already carries its mark is returned as it is."""
-    rows = [row if type(row) is EvalRow else EvalRow(*row) for row in rows]
-    cells: dict[tuple[str, int], EvalRow] = {}
-    for row in rows:
-        cell = (row.provenance, row.cutoff)
-        if cell in cells:
+def compare(rows: Iterable[EvalRow]) -> list[bool]:
+    """Whether each row strictly beats the engine row at its cutoff, in
+    input order; ties, losses and the engine's own rows are False. Each
+    (provenance, cutoff) may have one row, and every other row needs an
+    engine row at its cutoff. A row may be a plain tuple of EvalRow's
+    fields."""
+    rows = list(rows)
+    means: dict[tuple[str, int], float] = {}
+    for provenance, cutoff, mean, _ in rows:
+        if (provenance, cutoff) in means:
+            raise ContractViolation(f"two {provenance} rows at cutoff {cutoff}")
+        means[provenance, cutoff] = mean
+    marks = []
+    for provenance, cutoff, mean, _ in rows:
+        if provenance == PROVENANCE_ENGINE:
+            marks.append(False)
+            continue
+        engine_mean = means.get((PROVENANCE_ENGINE, cutoff))
+        if engine_mean is None:
             raise ContractViolation(
-                f"two {row.provenance} rows at cutoff {row.cutoff}"
+                f"no engine row at cutoff {cutoff} to compare {provenance} against"
             )
-        cells[cell] = row
-    marked: list[EvalRow] = []
-    for row in rows:
-        if row.provenance == PROVENANCE_ENGINE:
-            better = False
-        else:
-            baseline = cells.get((PROVENANCE_ENGINE, row.cutoff))
-            if baseline is None:
-                raise ContractViolation(
-                    f"no engine row at cutoff {row.cutoff} to compare "
-                    f"{row.provenance} against"
-                )
-            better = bool(row.mean_ndcg > baseline.mean_ndcg)
-        # report's unstarred rows come marked False already and are kept
-        if row.better_than_engine is not better:
-            row = EvalRow(*row[:4], better)  # _replace costs more
-        marked.append(row)
-    return marked
+        marks.append(mean > engine_mean)
+    return marks
 
 
-def format_table(rows: Sequence[EvalRow], heading: str = "") -> str:
-    """Fixed-width table, one provenance per line, starred where a row
-    beat the engine. Engine first, then the other provenances by name.
-    The heading and the names are written with their line breaks
-    escaped, so each stays on its own line."""
+def format_table(rows: Sequence[EvalRow], marks: Sequence[bool], heading: str = "") -> str:
+    """Fixed-width table, one provenance per line, starred where marks
+    (compare's answer, one per row) says a row beat the engine. Engine
+    first, then the other provenances by name. The heading and the names
+    are written with their line breaks escaped, so each stays on its own line."""
     if not rows:
         raise ValueError("nothing to format")
+    # provenance -> cutoff -> the cell's text
+    texts: dict[str, dict[int, str]] = {}
+    for row, marked in zip(rows, marks, strict=True):
+        text = f"{row.mean_ndcg:.4f}" + ("*" if marked else "")
+        texts.setdefault(row.provenance, {})[row.cutoff] = text
     cutoffs = sorted({row.cutoff for row in rows})
-    by_provenance: dict[str, dict[int, EvalRow]] = {}
-    for row in rows:
-        by_provenance.setdefault(row.provenance, {})[row.cutoff] = row
-    order = sorted(by_provenance, key=lambda p: (p != PROVENANCE_ENGINE, p))
+    order = sorted(texts, key=lambda p: (p != PROVENANCE_ENGINE, p))
     names = list(map(one_line, order))
     name_width = max(len("ranking"), *map(len, names))
     # widest cell content is "x.xxxx*"; +1 keeps a gap between columns
@@ -272,14 +261,10 @@ def format_table(rows: Sequence[EvalRow], heading: str = "") -> str:
     )
     lines.append(header)
     for provenance, name in zip(order, names):
-        cells = [name.ljust(name_width)]
-        for k in cutoffs:
-            row = by_provenance[provenance].get(k)
-            if row is None:
-                cells.append("-".rjust(cell_width))
-                continue
-            text = f"{row.mean_ndcg:.4f}" + ("*" if row.better_than_engine else "")
-            cells.append(text.rjust(cell_width))
-        lines.append("".join(cells))
+        cells = texts[provenance]
+        lines.append(
+            name.ljust(name_width)
+            + "".join(cells.get(k, "-").rjust(cell_width) for k in cutoffs)
+        )
     lines.append("* better than the engine ranking at that cutoff")
     return "\n".join(lines)

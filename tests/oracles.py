@@ -219,33 +219,31 @@ def naive_mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def naive_compare(rows) -> tuple[list[tuple] | None, str | None]:
-    """compare's (marked rows, None), or (None, its error message), from
-    the contract. Each row is read as (provenance, cutoff, mean,
-    n_queries, ...). The first (provenance, cutoff) repeated in input
-    order is the error; else the first non-engine row in input order
-    with no engine row at its cutoff. Each row's mark is True exactly
-    when it is not the engine's and its mean beats the engine's at its
-    cutoff."""
-    rows = [tuple(row)[:4] for row in rows]
+def naive_compare(rows) -> tuple[list[bool] | None, str | None]:
+    """compare's (marks, None), or (None, its error message), from the
+    contract. Each row is read as (provenance, cutoff, mean, n_queries).
+    The first (provenance, cutoff) repeated in input order is the error;
+    else the first non-engine row in input order with no engine row at
+    its cutoff. Each row's mark is True exactly when it is not the
+    engine's and its mean beats the engine's at its cutoff."""
+    rows = [tuple(row) for row in rows]
     seen = []
     for provenance, cutoff, _, _ in rows:
         if (provenance, cutoff) in seen:
             return None, f"two {provenance} rows at cutoff {cutoff}"
         seen.append((provenance, cutoff))
-    marked = []
-    for provenance, cutoff, mean, n_queries in rows:
+    marks = []
+    for provenance, cutoff, mean, _ in rows:
         engine = [m for p, k, m, _ in rows if p == "engine" and k == cutoff]
         if provenance == "engine":
-            better = False
+            marks.append(False)
         elif not engine:
             return None, (
                 f"no engine row at cutoff {cutoff} to compare {provenance} against"
             )
         else:
-            better = mean > engine[0]
-        marked.append((provenance, cutoff, mean, n_queries, better))
-    return marked, None
+            marks.append(mean > engine[0])
+    return marks, None
 
 
 def naive_aggregate(records, min_judges: int):

@@ -1299,6 +1299,24 @@ def test_failed_csv_write_keeps_existing_report(golden, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("ingest", "--out"), ("report", "--out"), ("report", "--csv")]
+)
+def test_unopenable_out_is_named_as_given(command, flag, golden, tmp_path, capsys):
+    """An output whose temp file cannot be opened is named by the path
+    given, not by the temp file, and nothing is left behind."""
+    path = tmp_path / "missing_dir" / "out.txt"
+    inputs = {
+        "ingest": ["--tweets", golden / "tweets.jsonl"],
+        # the last --out given wins
+        "report": ["--rows", golden / "expected_rows.csv", "--out", tmp_path / "r.txt"],
+    }
+    code, _, err = run(capsys, command, *inputs[command], flag, path)
+    assert code == EXIT_INPUT
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestReport:
     def test_golden_bytes(self, golden, tmp_path, capsys):
         out = tmp_path / "report.txt"
@@ -1585,6 +1603,20 @@ class TestUsage:
     def test_bad_date_exits_two(self, value, golden, capsys):
         err = self.usage_error("rerank", "--date", value, golden, capsys)
         assert err == f"not a YYYY-MM-DD date: {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("ingest", "--out"),
+            ("rerank", "--out"),
+            ("eval", "--out"),
+            ("report", "--out"),
+            ("report", "--csv"),
+        ],
+    )
+    def test_empty_output_path_exits_two(self, command, flag, golden, capsys):
+        err = self.usage_error(command, flag, "", golden, capsys)
+        assert err == "need a path or -, got ''\n"
 
     @staticmethod
     def usage_error(command, flag, value, golden, capsys) -> str:

@@ -291,8 +291,9 @@ def test_mutated_fixture_exits_cleanly(name, data_dir, tmp_path, capsys):
 
 # one bad value for each type= converter and choice, by stage
 BAD_VALUES = {
-    "ingest": (("--max-text-len", "-5"), ("--max-text-len", "2_80")),
+    "ingest": (("--max-text-len", "-5"), ("--max-text-len", "2_80"), ("--out", "")),
     "rerank": (
+        ("--out", ""),
         ("--max-text-len", "0"),
         ("--date", "2011-13-01"),
         ("--regions", " , "),
@@ -311,7 +312,9 @@ BAD_VALUES = {
         ("--min-judges", "\u0663"),
         ("--regions", " , "),
         ("--ndcg", "dcg"),
+        ("--out", ""),
     ),
+    "report": (("--out", ""), ("--csv", "")),
 }
 USAGE_ERRORS = (
     "no subcommand", "unknown subcommand", "unknown flag", "missing flag", "bad value",

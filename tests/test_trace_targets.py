@@ -84,3 +84,6 @@ def test_traced_pipeline_counts_every_layer(data_dir, tmp_path, capsys):
     assert metrics["similarity.cosine.nonzero_ratio"] == 0.2
     assert metrics["voting.vote.calls"] == 3
     assert metrics["voting.pairs"] == 90
+    # report marks and formats each (region, engine) table once
+    assert metrics["evaluation.compare.calls"] == 3
+    assert metrics["evaluation.format_table.calls"] == 3
