@@ -101,35 +101,35 @@ def _open_out(path: str):
     A missing path, or a plain file with one link in a writable
     directory, is written via a temp file beside it that keeps its mode
     and replaces it only if the block succeeds. Anything else (a
-    symlink, a device, a FIFO) is written in place."""
-    if path == "-" or _is_stdout(path):
-        with _utf8_stdout() as out:
-            yield out
-        return
-    if os.path.lexists(path) and (
-        os.path.islink(path)
-        or not os.path.isfile(path)
-        or os.stat(path).st_nlink > 1
-        or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
-    ):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = f"{path}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
+    symlink, a device, a FIFO) is written in place. An OSError in the
+    block, from the open to the replace, is InputDataError naming path."""
     try:
-        fh = open(tmp, "w", encoding="utf-8")
-    except OSError as exc:  # the temp file is ours; name the user's path
-        raise InputDataError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
-        with fh:
-            if os.path.exists(path):
-                shutil.copymode(path, tmp)
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        if path == "-" or _is_stdout(path):
+            with _utf8_stdout() as out:
+                yield out
+        elif os.path.lexists(path) and (
+            os.path.islink(path)
+            or not os.path.isfile(path)
+            or os.stat(path).st_nlink > 1
+            or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
+        ):
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+        else:
+            tmp = f"{path}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    if os.path.exists(path):
+                        shutil.copymode(path, tmp)
+                    yield fh
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+    except OSError as exc:  # also the temp file's: name the user's path
+        name = "stdout" if path == "-" else path
+        raise InputDataError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def _stderr_line(line: str) -> None:
@@ -179,6 +179,12 @@ def _positive_int(value: str) -> int:
         if number >= 1:
             return number
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+
+
+def _in_path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("need a path, got ''")
+    return value
 
 
 def _out_path(value: str) -> str:
@@ -236,6 +242,13 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _note_dropped(kind: str, report: SimpleNamespace) -> None:
+    if report.malformed:
+        _note(f"{report.malformed} malformed {kind} lines dropped")
+    if report.duplicates:
+        _note(f"{report.duplicates} duplicate {kind} records dropped (first kept)")
+
+
 def _ranking_lines(query_id: str, engine: str, day: date, rankings):
     """The rows of one (query, engine, day) group's (provenance, ids,
     votes) rankings, each as json.dumps(record, ensure_ascii=False) writes
@@ -259,11 +272,9 @@ def cmd_rerank(args) -> int:
     if unknown:
         raise InputDataError(f"regions {unknown} are not in the region table")
     tweets, tweet_report = _load_tweets_file(args.tweets, args, table)
-    if tweet_report.malformed:
-        _note(f"{tweet_report.malformed} malformed tweet lines dropped")
+    _note_dropped("tweet", tweet_report)
     docs, news_report = load_news(read_input(args.news))
-    if news_report.malformed:
-        _note(f"{news_report.malformed} malformed news lines dropped")
+    _note_dropped("news", news_report)
     if not docs:
         raise InputDataError(f"no usable news records in {args.news}")
     queries = load_queries(read_input(args.queries))
@@ -387,14 +398,14 @@ def cmd_eval(args) -> int:
     lookup, agg_report = aggregate(
         records, min_judges=args.min_judges, round_scores=args.round_relevance
     )
-    if args.regions:
-        kept = lookup.regions()
-        unjudged = [r for r in args.regions if r not in kept]
-        if unjudged:
-            raise InputDataError(
-                f"regions {unjudged} have no judgment cell with at least "
-                f"{args.min_judges} judges in {args.judgments}"
-            )
+    judged = lookup.regions()
+    regions = args.regions or list(judged)
+    unjudged = [r for r in regions if r not in judged]
+    if unjudged:
+        raise InputDataError(
+            f"regions {unjudged} have no judgment cell with at least "
+            f"{args.min_judges} judges in {args.judgments}"
+        )
     if agg_report.cells_dropped:
         _note(
             f"{agg_report.cells_dropped} judgment cells dropped "
@@ -404,7 +415,6 @@ def cmd_eval(args) -> int:
         _note(f"{agg_report.bad_labels} judgment records had unknown labels")
     if not agg_report.cells_kept:
         raise InputDataError(f"no usable judgments in {args.judgments}")
-    regions = args.regions if args.regions else list(lookup.regions())
     config = NdcgConfig(cutoffs=args.cutoffs, variant=args.ndcg)
 
     keys, groups = zip(*grouped)
@@ -542,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     region_opts = argparse.ArgumentParser(add_help=False)
     region_opts.add_argument(
         "--region-table",
+        type=_in_path,
         metavar="PATH",
         default=None,
         help="code,full_name CSV (default: bundled US states)",
@@ -564,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[region_opts],
         help="attach region codes to raw tweet JSONL",
     )
-    p_ingest.add_argument("--tweets", required=True, metavar="PATH")
+    p_ingest.add_argument("--tweets", required=True, type=_in_path, metavar="PATH")
     p_ingest.add_argument("--out", required=True, type=_out_path, metavar="PATH")
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -573,9 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[region_opts],
         help="build engine and tweet-vote rankings",
     )
-    p_rerank.add_argument("--tweets", required=True, metavar="PATH")
-    p_rerank.add_argument("--news", required=True, metavar="PATH")
-    p_rerank.add_argument("--queries", required=True, metavar="PATH")
+    p_rerank.add_argument("--tweets", required=True, type=_in_path, metavar="PATH")
+    p_rerank.add_argument("--news", required=True, type=_in_path, metavar="PATH")
+    p_rerank.add_argument("--queries", required=True, type=_in_path, metavar="PATH")
     p_rerank.add_argument("--out", required=True, type=_out_path, metavar="PATH")
     p_rerank.add_argument(
         "--regions",
@@ -592,6 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rerank.add_argument(
         "--stopwords",
+        type=_in_path,
         metavar="PATH",
         default=None,
         help="stopword file (default: bundled SMART list)",
@@ -614,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="mean NDCG per region, provenance and cutoff",
     )
-    p_eval.add_argument("--rankings", required=True, metavar="PATH")
-    p_eval.add_argument("--judgments", required=True, metavar="PATH")
+    p_eval.add_argument("--rankings", required=True, type=_in_path, metavar="PATH")
+    p_eval.add_argument("--judgments", required=True, type=_in_path, metavar="PATH")
     p_eval.add_argument("--out", required=True, type=_out_path, metavar="PATH")
     p_eval.add_argument(
         "--regions",
@@ -662,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="render eval rows as marked comparison tables",
     )
-    p_report.add_argument("--rows", required=True, metavar="PATH")
+    p_report.add_argument("--rows", required=True, type=_in_path, metavar="PATH")
     p_report.add_argument("--out", default="-", type=_out_path, metavar="PATH")
     p_report.add_argument(
         "--csv",

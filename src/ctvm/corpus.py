@@ -41,19 +41,15 @@ def parse_date(value: str) -> date:
 
 def parse_timestamp(value: str) -> datetime:
     """An RFC 3339 timestamp with a required UTC offset ('Z' accepted),
-    in UTC. A fraction is cut to microseconds: digits past the sixth
-    are dropped, so 3.10's fromisoformat gets exactly six."""
+    at that offset. A fraction is cut to microseconds: digits past the
+    sixth are dropped, so 3.10's fromisoformat gets exactly six."""
     match = _TIMESTAMP_RE.fullmatch(value.strip())
     if match is None:
         raise ValueError(f"not RFC 3339 with a UTC offset: {value!r}")
     text, fraction, offset = match.groups()
     if fraction:
         text += "." + fraction[:6].ljust(6, "0")
-    parsed = datetime.fromisoformat(text + ("+00:00" if offset in "Zz" else offset))
-    try:
-        return parsed.astimezone(timezone.utc)
-    except OverflowError:
-        raise ValueError(f"timestamp is out of range in UTC: {value!r}")
+    return datetime.fromisoformat(text + ("+00:00" if offset in "Zz" else offset))
 
 
 def format_timestamp(value: datetime) -> str:
@@ -311,8 +307,7 @@ def ingest_tweets(
     output does) keep it untouched, which makes ingestion idempotent.
     """
     report = SimpleNamespace(accepted=0, malformed=0, duplicates=0, region_unresolved=0)
-    tweets: list[Tweet] = []
-    seen: set[str] = set()
+    tweets: dict[str, Tweet] = {}
     for _, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _TWEET_FIELDS)
@@ -333,21 +328,17 @@ def ingest_tweets(
         except ValueError:
             report.malformed += 1
             continue
-        if tweet.id in seen:
+        if tweets.setdefault(tweet.id, tweet) is not tweet:
             report.duplicates += 1
-            continue
-        seen.add(tweet.id)
-        if region is None:
+        elif region is None:
             report.region_unresolved += 1
-        tweets.append(tweet)
-        report.accepted += 1
-    return tweets, report
+    report.accepted = len(tweets)
+    return list(tweets.values()), report
 
 
 def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], SimpleNamespace]:
     report = SimpleNamespace(accepted=0, malformed=0, duplicates=0)
-    docs: list[NewsDoc] = []
-    seen: set[str] = set()
+    docs: dict[str, NewsDoc] = {}
     for _, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _NEWS_FIELDS)
@@ -363,13 +354,10 @@ def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], SimpleNamespace]:
         except ValueError:
             report.malformed += 1
             continue
-        if doc.id in seen:
+        if docs.setdefault(doc.id, doc) is not doc:
             report.duplicates += 1
-            continue
-        seen.add(doc.id)
-        docs.append(doc)
-        report.accepted += 1
-    return docs, report
+    report.accepted = len(docs)
+    return list(docs.values()), report
 
 
 def load_queries(lines: Iterable[str]) -> list[Query]:

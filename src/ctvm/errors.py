@@ -48,4 +48,6 @@ def read_input(path: str | None, bundled: str | None = None) -> list[str]:
         with open(source, encoding="utf-8-sig", newline="") as fh:
             return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputDataError(f"cannot read {path or bundled}: {exc}") from exc
+        raise InputDataError(
+            f"cannot read {path if path is not None else bundled}: {exc}"
+        ) from exc

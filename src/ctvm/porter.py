@@ -165,9 +165,7 @@ def _step1a(word: str) -> str:
         return word[:-2]
     if word.endswith("ss"):
         return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+    return word[:-1]
 
 
 def _step1b(word: str) -> str:
@@ -192,14 +190,12 @@ def _step1b(word: str) -> str:
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
+    if _contains_vowel(word[:-1]):
         return word[:-1] + "i"
     return word
 
 
 def _step5a(word: str) -> str:
-    if not word.endswith("e"):
-        return word
     stem = word[:-1]
     m = _measure(stem)
     if m > 1:
@@ -211,7 +207,7 @@ def _step5a(word: str) -> str:
 
 def _step5b(word: str) -> str:
     # ll is the only double consonant this step undoubles
-    if word.endswith("ll") and _measure(word) > 1:
+    if _measure(word) > 1:
         return word[:-1]
     return word
 

@@ -292,6 +292,27 @@ class TestRerank:
             f"error: no usable news records in {news}\n"
         )
 
+    def test_repeated_ids_are_noted(self, golden, tmp_path, capsys):
+        """A repeated tweet or news id is dropped, the first record
+        kept, with one note per input: the rankings do not change."""
+        tweets, news = tmp_path / "tweets.jsonl", tmp_path / "news.jsonl"
+        tweet_lines = read(golden / "tweets.jsonl").splitlines()
+        write_lines(tweets, [*tweet_lines, tweet_lines[0], tweet_lines[1]])
+        news_lines = read(golden / "news.jsonl").splitlines()
+        repeat = {**json.loads(news_lines[0]), "title": "Another title"}
+        write_lines(news, [*news_lines, json.dumps(repeat)])
+        out = tmp_path / "rankings.jsonl"
+        code, _, err = run(
+            capsys, "rerank", "--tweets", tweets, "--news", news, "--queries",
+            golden / "queries.jsonl", "--regions", "CA", "--out", out,
+        )
+        assert code == EXIT_OK
+        assert err == (
+            "note: 2 duplicate tweet records dropped (first kept)\n"
+            "note: 1 duplicate news records dropped (first kept)\n"
+        )
+        assert read(out) == read(golden / "expected_rankings.jsonl")
+
     def test_gappy_ranks_exit_one(self, golden, tmp_path, capsys):
         news = tmp_path / "news.jsonl"
         record = {
@@ -1207,7 +1228,7 @@ def test_closed_stdout_gives_no_traceback(to_stdout, golden, tmp_path):
     assert "Traceback" not in done.stderr
     if to_stdout:
         assert done.returncode == EXIT_INPUT
-        assert "error: stdout is closed" in done.stderr
+        assert done.stderr == "error: cannot write stdout: stdout is closed\n"
     else:
         assert done.returncode == EXIT_OK, done.stderr
         assert read(out) == read(golden / "expected_enriched.jsonl")
@@ -1300,21 +1321,39 @@ def test_failed_csv_write_keeps_existing_report(golden, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flag", [("ingest", "--out"), ("report", "--out"), ("report", "--csv")]
+    "command, flag",
+    [
+        ("ingest", "--out"),
+        ("rerank", "--out"),
+        ("eval", "--out"),
+        ("report", "--out"),
+        ("report", "--csv"),
+    ],
 )
 def test_unopenable_out_is_named_as_given(command, flag, golden, tmp_path, capsys):
-    """An output whose temp file cannot be opened is named by the path
-    given, not by the temp file, and nothing is left behind."""
-    path = tmp_path / "missing_dir" / "out.txt"
-    inputs = {
-        "ingest": ["--tweets", golden / "tweets.jsonl"],
-        # the last --out given wins
-        "report": ["--rows", golden / "expected_rows.csv", "--out", tmp_path / "r.txt"],
-    }
-    code, _, err = run(capsys, command, *inputs[command], flag, path)
-    assert code == EXIT_INPUT
-    assert err == f"error: cannot write {path}: No such file or directory\n"
-    assert list(tmp_path.iterdir()) == []
+    """An output that cannot be opened (a directory, or a path in a
+    missing directory) or written (a full device) exits 1 with one line
+    that names it as given, not by its temp file, and nothing is left
+    behind."""
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    targets = [
+        (directory, "Is a directory"),
+        (tmp_path / "missing_dir" / "out.txt", "No such file or directory"),
+    ]
+    if os.path.exists("/dev/full"):
+        targets.append(("/dev/full", "No space left on device"))
+    report = tmp_path / "r.txt"
+    argv = [command, "--out", report]  # the last --out given wins
+    for name, filename in GOLDEN_ARGS[command].items():
+        if filename is not None:
+            argv += [name, golden / filename]
+    for path, reason in targets:
+        code, _, err = run(capsys, *argv, flag, path)
+        assert code == EXIT_INPUT, path
+        assert err == f"error: cannot write {path}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+        assert list(directory.iterdir()) == []
 
 
 class TestReport:
@@ -1617,6 +1656,14 @@ class TestUsage:
     def test_empty_output_path_exits_two(self, command, flag, golden, capsys):
         err = self.usage_error(command, flag, "", golden, capsys)
         assert err == "need a path or -, got ''\n"
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in GOLDEN_ARGS.items() for flag in flags],
+    )
+    def test_empty_input_path_exits_two(self, command, flag, golden, capsys):
+        err = self.usage_error(command, flag, "", golden, capsys)
+        assert err == "need a path, got ''\n"
 
     @staticmethod
     def usage_error(command, flag, value, golden, capsys) -> str:

@@ -60,8 +60,13 @@ class TestTimestamps:
         assert parse_timestamp("2011-12-12T08:30:00z").tzinfo == UTC
 
     def test_offset_converted_to_utc(self):
+        """parse_timestamp keeps the offset as written; Tweet stores the
+        time in UTC."""
         parsed = parse_timestamp("2011-12-12T14:00:00+05:30")
-        assert parsed == datetime(2011, 12, 12, 8, 30, tzinfo=UTC)
+        assert parsed.hour == 14
+        assert parsed.utcoffset() == timedelta(hours=5, minutes=30)
+        stored = Tweet("t1", "x", parsed).timestamp
+        assert (stored.hour, stored.minute, stored.tzinfo) == (8, 30, UTC)
 
     def test_naive_rejected(self):
         with pytest.raises(ValueError, match="offset"):
@@ -322,17 +327,35 @@ class TestIngestTweets:
         assert report.malformed == 1
 
     def test_duplicate_ids_counted_first_wins(self, states):
+        """Of interleaved repeats, the first record of each id is kept, in
+        file order; a dropped repeat counts as a duplicate, not as
+        unresolved."""
         record = {
             "id": "t1",
             "text": "first",
             "timestamp": "2011-12-12T08:00:00Z",
         }
+        moon = {"user_location": "the moon"}
         tweets, report = self.run(
-            [record, {**record, "text": "second"}], states
+            [
+                record,
+                {**record, "id": "t2", **moon},
+                {**record, "text": "second"},
+                {**record, "id": "t3", "user_location": "Austin, TX"},
+                {**record, "id": "t2", "text": "second", **moon},
+                {**record, "text": "third", **moon},
+            ],
+            states,
         )
-        assert report.duplicates == 1
-        assert len(tweets) == 1
-        assert tweets[0].text == "first"
+        assert [(t.id, t.text) for t in tweets] == [
+            ("t1", "first"), ("t2", "first"), ("t3", "first")
+        ]
+        assert vars(report) == {
+            "accepted": 3,
+            "malformed": 0,
+            "duplicates": 3,
+            "region_unresolved": 2,
+        }
 
     def test_blank_text_is_malformed_before_the_duplicate_check(self, states):
         record = {"id": "t1", "text": "obama", "timestamp": "2011-12-12T08:00:00Z"}
@@ -421,6 +444,28 @@ class TestIngestTweets:
 
 
 class TestLoadNews:
+    def test_interleaved_duplicates_keep_the_first_of_each_id(self):
+        first = {
+            "id": "n1",
+            "query_id": "obama",
+            "engine": "google",
+            "original_rank": 1,
+            "title": "first",
+            "retrieved_date": "2011-12-12",
+        }
+        lines = [
+            first,
+            {**first, "id": "n2", "original_rank": 2},
+            {**first, "title": "second"},
+            {**first, "id": "n3", "original_rank": 3},
+            {**first, "id": "n2", "title": "second"},
+        ]
+        docs, report = load_news(map(json.dumps, lines))
+        assert [(d.id, d.original_rank, d.title) for d in docs] == [
+            ("n1", 1, "first"), ("n2", 2, "first"), ("n3", 3, "first")
+        ]
+        assert vars(report) == {"accepted": 3, "malformed": 0, "duplicates": 2}
+
     def test_lenient_and_counted(self):
         good = {
             "id": "n1",

@@ -291,9 +291,20 @@ def test_mutated_fixture_exits_cleanly(name, data_dir, tmp_path, capsys):
 
 # one bad value for each type= converter and choice, by stage
 BAD_VALUES = {
-    "ingest": (("--max-text-len", "-5"), ("--max-text-len", "2_80"), ("--out", "")),
+    "ingest": (
+        ("--max-text-len", "-5"),
+        ("--max-text-len", "2_80"),
+        ("--out", ""),
+        ("--tweets", ""),
+        ("--region-table", ""),
+    ),
     "rerank": (
         ("--out", ""),
+        ("--tweets", ""),
+        ("--news", ""),
+        ("--queries", ""),
+        ("--stopwords", ""),
+        ("--region-table", ""),
         ("--max-text-len", "0"),
         ("--date", "2011-13-01"),
         ("--regions", " , "),
@@ -313,8 +324,10 @@ BAD_VALUES = {
         ("--regions", " , "),
         ("--ndcg", "dcg"),
         ("--out", ""),
+        ("--rankings", ""),
+        ("--judgments", ""),
     ),
-    "report": (("--out", ""), ("--csv", "")),
+    "report": (("--out", ""), ("--csv", ""), ("--rows", "")),
 }
 USAGE_ERRORS = (
     "no subcommand", "unknown subcommand", "unknown flag", "missing flag", "bad value",

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import naive_stem
 
+from ctvm import porter
 from ctvm.porter import (
     _apply_step,
     _measure,
@@ -272,7 +273,7 @@ def _load_perfbench_gen():
     return module
 
 
-def test_benchmark_vocabulary_matches_naive():
+def _benchmark_words() -> list[str]:
     """Every word of longtail's 20k-word core plus 5,000 of its hapax
     words, drawn as the generator draws them."""
     gen = _load_perfbench_gen()
@@ -281,10 +282,47 @@ def test_benchmark_vocabulary_matches_naive():
     ids = list(range(core)) + [
         core + rng.randrange(gen.HAPAX_SPACE) for _ in range(5000)
     ]
-    wrong = [
-        w for w in map(gen.word, ids) if stem.__wrapped__(w) != naive_stem(w)
-    ]
+    return list(map(gen.word, ids))
+
+
+def test_benchmark_vocabulary_matches_naive():
+    wrong = [w for w in _benchmark_words() if stem.__wrapped__(w) != naive_stem(w)]
     assert wrong == []
+
+
+# the ending stem tests before it calls each step; the steps rely on it
+STEP_GUARDS = {
+    "_step1a": ("s",),
+    "_step1b": ("ed", "ng"),
+    "_step1c": ("y",),
+    "_step5a": ("e",),
+    "_step5b": ("ll",),
+}
+
+
+def test_steps_are_called_only_past_their_guard(monkeypatch):
+    """stem calls each step of 1a-1c, 5a and 5b only on a word that
+    ends as the step's suffixes end, over the published words and the
+    benchmark vocabulary; every step is reached."""
+    calls: dict[str, list[str]] = {name: [] for name in STEP_GUARDS}
+
+    def spy(name, step):
+        def wrapped(word):
+            calls[name].append(word)
+            return step(word)
+        return wrapped
+
+    for name in STEP_GUARDS:
+        monkeypatch.setattr(porter, name, spy(name, getattr(porter, name)))
+    stem.cache_clear()
+    try:
+        for word in PUBLISHED_WORDS + _benchmark_words():
+            stem(word)
+    finally:
+        stem.cache_clear()
+    for name, endings in STEP_GUARDS.items():
+        assert calls[name], name
+        assert [w for w in calls[name] if not w.endswith(endings)] == [], name
 
 
 # The benchmark's syllables never hold a y and random letters rarely end
