@@ -17,10 +17,8 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import os
-import re
 import shutil
 import sys
 from datetime import date
@@ -58,9 +56,6 @@ from .voting import engine_ranking, rerank, vote
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONTRACT = 2
-
-
-_TMP_SERIAL = itertools.count()
 
 
 def _is_stdout(path: str) -> bool:
@@ -116,7 +111,7 @@ def _open_out(path: str):
             with open(path, "w", encoding="utf-8") as fh:
                 yield fh
         else:
-            tmp = f"{path}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
+            tmp = f"{path}.{os.getpid()}.tmp"
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     if os.path.exists(path):
@@ -160,15 +155,12 @@ def _parse_region_list(value: str) -> list[str]:
     return regions
 
 
-# ASCII digits only, as for dates: int() would also take a sign,
-# underscores and other scripts' digits ("+5", "0_3", "٣")
-_DIGITS_RE = re.compile("[0-9]+")
-
-
 def _digits(value: str) -> int:
-    """The integer that value spells in ASCII digits once stripped."""
+    """The integer that value spells in ASCII digits once stripped. ASCII
+    only, as for dates: int() would also take a sign, underscores and
+    other scripts' digits ("+5", "0_3", "٣")."""
     value = value.strip()
-    if not _DIGITS_RE.fullmatch(value):
+    if not (value.isascii() and value.isdigit()):
         raise ValueError(f"not ASCII digits: {value!r}")
     return int(value)
 
@@ -210,9 +202,7 @@ def _parse_cutoffs(value: str) -> tuple[int, ...]:
     return tuple(sorted(set(cutoffs)))
 
 
-def _load_tweets_file(path: str, args, table=None) -> tuple[list, SimpleNamespace]:
-    if table is None:
-        table = load_region_table(args.region_table)
+def _load_tweets_file(path: str, args, table) -> tuple[list, SimpleNamespace]:
     return ingest_tweets(
         read_input(path),
         table,
@@ -235,7 +225,8 @@ def _tweet_lines(tweets):
 
 
 def cmd_ingest(args) -> int:
-    tweets, report = _load_tweets_file(args.tweets, args)
+    table = load_region_table(args.region_table)
+    tweets, report = _load_tweets_file(args.tweets, args, table)
     with _open_out(args.out) as out:
         out.writelines(_tweet_lines(tweets))
     _stderr_line(json.dumps({"ingest": vars(report)}))
@@ -451,43 +442,39 @@ def cmd_eval(args) -> int:
 
 
 def _read_eval_rows(path: str) -> dict[tuple[str, str], list[EvalRow]]:
+    """The rows grouped by (region, engine), each group in file order."""
     reader = csv.reader(read_input(path))
+    groups: dict[tuple[str, str], list[EvalRow]] = {}
     try:
-        return _eval_rows(reader, path)
+        header = next(reader, None)
+        if header is None or not set(EVAL_COLUMNS) <= set(header):
+            raise InputDataError(
+                f"{path} does not look like eval output "
+                f"(need columns {', '.join(EVAL_COLUMNS)})"
+            )
+        # a repeated column name reads its last column, as csv.DictReader does
+        where = {name: i for i, name in enumerate(header)}
+        region, engine, provenance, cutoff, value, n_queries = map(where.get, EVAL_COLUMNS)
+        width = 1 + max(map(where.get, EVAL_COLUMNS))
+        for record in filter(None, reader):  # blank lines read as []
+            try:
+                if len(record) < width:
+                    raise ValueError("row has fewer fields than the header")
+                k, mean = int(record[cutoff]), float(record[value])
+                n = int(record[n_queries])
+                # eval writes no other rows, and a nan engine row stars nothing
+                if k < 1 or n < 1 or not 0 <= mean <= 1:
+                    raise ValueError(
+                        "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
+                    )
+            except ValueError as exc:
+                raise InputDataError(
+                    f"{path}: bad eval row on line {reader.line_num}: {exc}"
+                )
+            row = EvalRow(record[provenance], k, mean, n)
+            groups.setdefault((record[region], record[engine]), []).append(row)
     except csv.Error as exc:
         raise InputDataError(f"{path}: bad CSV on line {reader.line_num}: {exc}")
-
-
-def _eval_rows(reader, path: str) -> dict[tuple[str, str], list[EvalRow]]:
-    """The rows grouped by (region, engine), each group in file order."""
-    header = next(reader, None)
-    if header is None or not set(EVAL_COLUMNS) <= set(header):
-        raise InputDataError(
-            f"{path} does not look like eval output "
-            f"(need columns {', '.join(EVAL_COLUMNS)})"
-        )
-    # a repeated column name reads its last column, as csv.DictReader does
-    where = {name: i for i, name in enumerate(header)}
-    region, engine, provenance, cutoff, value, n_queries = map(where.get, EVAL_COLUMNS)
-    width = 1 + max(map(where.get, EVAL_COLUMNS))
-    groups: dict[tuple[str, str], list[EvalRow]] = {}
-    for record in filter(None, reader):  # blank lines read as []
-        try:
-            if len(record) < width:
-                raise ValueError("row has fewer fields than the header")
-            k, mean = int(record[cutoff]), float(record[value])
-            n = int(record[n_queries])
-            # eval writes no other rows, and a nan engine row stars nothing
-            if k < 1 or n < 1 or not 0 <= mean <= 1:
-                raise ValueError(
-                    "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
-                )
-        except ValueError as exc:
-            raise InputDataError(
-                f"{path}: bad eval row on line {reader.line_num}: {exc}"
-            )
-        row = EvalRow(record[provenance], k, mean, n)
-        groups.setdefault((record[region], record[engine]), []).append(row)
     if not groups:
         raise InputDataError(f"no eval rows in {path}")
     return groups

@@ -362,8 +362,7 @@ def load_news(lines: Iterable[str]) -> tuple[list[NewsDoc], SimpleNamespace]:
 
 def load_queries(lines: Iterable[str]) -> list[Query]:
     """Queries load strictly: any bad record is fatal."""
-    queries: list[Query] = []
-    seen: set[str] = set()
+    queries: dict[str, Query] = {}
     for lineno, raw in _record_lines(lines):
         try:
             record = _parse_record(raw, _QUERY_FIELDS)
@@ -373,8 +372,6 @@ def load_queries(lines: Iterable[str]) -> list[Query]:
             query = Query(record["id"], tuple(lower_nfc(v).strip() for v in variants))
         except ValueError as exc:
             raise InputDataError(f"bad query record on line {lineno}: {exc}")
-        if query.id in seen:
+        if queries.setdefault(query.id, query) is not query:
             raise InputDataError(f"duplicate query id: {query.id}")
-        seen.add(query.id)
-        queries.append(query)
-    return queries
+    return list(queries.values())

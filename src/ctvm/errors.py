@@ -47,7 +47,8 @@ def read_input(path: str | None, bundled: str | None = None) -> list[str]:
     try:
         with open(source, encoding="utf-8-sig", newline="") as fh:
             return fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+        reason = getattr(exc, "strerror", None) or exc
         raise InputDataError(
-            f"cannot read {path if path is not None else bundled}: {exc}"
+            f"cannot read {path if path is not None else bundled}: {reason}"
         ) from exc

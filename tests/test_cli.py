@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -713,6 +714,32 @@ class TestEval:
         )
         assert (args.cutoffs, args.min_judges) == ((1, 3, 5), 3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(
+            st.one_of(
+                st.sampled_from("0123456789+-_²"),
+                st.characters(categories=["Nd", "Zs"]),
+                st.sampled_from("\t\n\r\x0b\x0c\x1c\x85\u2028"),
+            ),
+            max_size=8,
+        )
+    )
+    @example("٣")
+    @example("+5")
+    @example("0_3")
+    @example("²")
+    @example(" 03\u3000")
+    def test_digits_takes_exactly_stripped_ascii_digits(self, value):
+        """_digits takes exactly the strings whose stripped form is one
+        or more of 0-9; any other script's digit, a sign, an underscore
+        or a superscript is refused."""
+        if re.fullmatch("[0-9]+", value.strip()):
+            assert cli._digits(value) == int(value.strip())
+        else:
+            with pytest.raises(ValueError):
+                cli._digits(value)
+
     def test_literal_variant_ignores_order(self, golden, capsys):
         # no positional discount, so engine and reranked rows all score 1
         code, out, _ = run(
@@ -1400,6 +1427,7 @@ class TestReport:
             assert read(out) == "from an earlier run\n"
         names = set() if kind == "new path" else {out.name, other.name}
         assert {p.name for p in tmp_path.iterdir()} == names
+        assert not any(tmp_path.glob("*.tmp"))  # no temp file was opened
 
     def test_csv_and_out_may_both_be_stdout(self, golden, capsys):
         code, out, err = run(
@@ -1729,6 +1757,31 @@ def input_argv(command, flag, path, golden, out):
         if name != flag and filename is not None:
             argv += [name, golden / filename]
     return argv
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in GOLDEN_ARGS.items() for flag in flags],
+)
+def test_unreadable_input_is_named_as_given(command, flag, golden, tmp_path, capsys):
+    """An input that cannot be read (a directory, or a missing file)
+    exits 1 with one line that names it as given and says why; the
+    output keeps its bytes and no temp file is left behind."""
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    out = tmp_path / "out.txt"
+    out.write_text("from an earlier run\n")
+    targets = [
+        (directory, "Is a directory"),
+        (tmp_path / "missing.txt", "No such file or directory"),
+    ]
+    for path, reason in targets:
+        code, stdout, err = run(capsys, *input_argv(command, flag, path, golden, out))
+        assert (code, stdout) == (EXIT_INPUT, ""), path
+        assert err == f"error: cannot read {path}: {reason}\n"
+        assert read(out) == "from an earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.txt"]
+        assert list(directory.iterdir()) == []
 
 
 @pytest.mark.parametrize(
