@@ -38,7 +38,6 @@ from .corpus import (
 )
 from .errors import ContractViolation, CtvmError, InputDataError, one_line, read_input
 from .evaluation import (
-    EvalRow,
     NdcgConfig,
     PROVENANCE_ENGINE,
     VARIANT_LITERAL,
@@ -441,10 +440,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_eval_rows(path: str) -> dict[tuple[str, str], list[EvalRow]]:
-    """The rows grouped by (region, engine), each group in file order."""
+def _read_eval_rows(path: str) -> dict[tuple[str, str], list[tuple]]:
+    """The (provenance, cutoff, mean_ndcg, n_queries) rows grouped by
+    (region, engine), each group in file order."""
     reader = csv.reader(read_input(path))
-    groups: dict[tuple[str, str], list[EvalRow]] = {}
+    groups: dict[tuple[str, str], list[tuple]] = {}
     try:
         header = next(reader, None)
         if header is None or not set(EVAL_COLUMNS) <= set(header):
@@ -460,8 +460,8 @@ def _read_eval_rows(path: str) -> dict[tuple[str, str], list[EvalRow]]:
             try:
                 if len(record) < width:
                     raise ValueError("row has fewer fields than the header")
-                k, mean = int(record[cutoff]), float(record[value])
-                n = int(record[n_queries])
+                k, mean = _digits(record[cutoff]), float(record[value])
+                n = _digits(record[n_queries])
                 # eval writes no other rows, and a nan engine row stars nothing
                 if k < 1 or n < 1 or not 0 <= mean <= 1:
                     raise ValueError(
@@ -471,7 +471,7 @@ def _read_eval_rows(path: str) -> dict[tuple[str, str], list[EvalRow]]:
                 raise InputDataError(
                     f"{path}: bad eval row on line {reader.line_num}: {exc}"
                 )
-            row = EvalRow(record[provenance], k, mean, n)
+            row = (record[provenance], k, mean, n)
             groups.setdefault((record[region], record[engine]), []).append(row)
     except csv.Error as exc:
         raise InputDataError(f"{path}: bad CSV on line {reader.line_num}: {exc}")
@@ -495,7 +495,7 @@ def cmd_report(args) -> int:
         raise ContractViolation(f"--out and --csv name the same file: {args.csv}")
     groups = _read_eval_rows(args.rows)
     tables: list[str] = []
-    marked_groups: list[tuple[str, list[EvalRow], list[bool]]] = []
+    marked_groups: list[tuple[str, list[tuple], list[bool]]] = []
     for (region, engine), rows in sorted(groups.items()):
         try:
             marks = compare(rows)

@@ -99,11 +99,6 @@ def ndcg(relevances: Sequence[float], k: int, config: NdcgConfig = DEFAULT_CONFI
     return min(1.0, value)
 
 
-# One mean NDCG of the eval CSV: a named tuple, because report builds
-# one per row it reads.
-EvalRow = namedtuple("EvalRow", "provenance cutoff mean_ndcg n_queries")
-
-
 def ndcg_columns(
     groups: Sequence[Sequence[tuple[str, tuple[str, ...]]]],
     lookup: RelevanceLookup,
@@ -209,12 +204,12 @@ def mean_ndcg(
     return results
 
 
-def compare(rows: Iterable[EvalRow]) -> list[bool]:
-    """Whether each row strictly beats the engine row at its cutoff, in
-    input order; ties, losses and the engine's own rows are False. Each
-    (provenance, cutoff) may have one row, and every other row needs an
-    engine row at its cutoff. A row may be a plain tuple of EvalRow's
-    fields."""
+def compare(rows: Iterable[tuple[str, int, float, int]]) -> list[bool]:
+    """Whether each (provenance, cutoff, mean_ndcg, n_queries) row
+    strictly beats the engine row at its cutoff, in input order; ties,
+    losses and the engine's own rows are False. Each (provenance,
+    cutoff) may have one row, and every other row needs an engine row
+    at its cutoff."""
     rows = list(rows)
     means: dict[tuple[str, int], float] = {}
     for provenance, cutoff, mean, _ in rows:
@@ -235,19 +230,20 @@ def compare(rows: Iterable[EvalRow]) -> list[bool]:
     return marks
 
 
-def format_table(rows: Sequence[EvalRow], marks: Sequence[bool], heading: str = "") -> str:
-    """Fixed-width table, one provenance per line, starred where marks
-    (compare's answer, one per row) says a row beat the engine. Engine
-    first, then the other provenances by name. The heading and the names
-    are written with their line breaks escaped, so each stays on its own line."""
+def format_table(rows: Sequence[tuple], marks: Sequence[bool], heading: str = "") -> str:
+    """Fixed-width table of compare's rows, one provenance per line,
+    starred where marks (its answer, one per row) says a row beat the
+    engine. Engine first, then the other provenances by name. The heading
+    and the names are written with their line breaks escaped, so each
+    stays on its own line."""
     if not rows:
         raise ValueError("nothing to format")
     # provenance -> cutoff -> the cell's text
     texts: dict[str, dict[int, str]] = {}
-    for row, marked in zip(rows, marks, strict=True):
-        text = f"{row.mean_ndcg:.4f}" + ("*" if marked else "")
-        texts.setdefault(row.provenance, {})[row.cutoff] = text
-    cutoffs = sorted({row.cutoff for row in rows})
+    for (provenance, cutoff, mean, _), marked in zip(rows, marks, strict=True):
+        text = f"{mean:.4f}" + ("*" if marked else "")
+        texts.setdefault(provenance, {})[cutoff] = text
+    cutoffs = sorted({cutoff for _, cutoff, _, _ in rows})
     order = sorted(texts, key=lambda p: (p != PROVENANCE_ENGINE, p))
     names = list(map(one_line, order))
     name_width = max(len("ranking"), *map(len, names))

@@ -9,7 +9,6 @@ rated the same cell twice counts once, with the later record winning.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterable
 from enum import IntEnum
 from types import SimpleNamespace
@@ -48,17 +47,11 @@ def parse_label(value: object) -> Label:
     raise ValueError(f"judgment label must be text or int: {value!r}")
 
 
-# One judge's label for one cell, as read; eval builds one per judgment
-# line, so it is a named tuple. label is the raw value, parsed during
-# aggregation.
-JudgmentRecord = namedtuple("JudgmentRecord", "query_id news_id region judge_id label")
-
-
-def load_judgment_records(
-    lines: Iterable[str],
-) -> tuple[list[JudgmentRecord], int]:
-    """Parse judgment JSONL; returns (records, malformed_line_count)."""
-    records: list[JudgmentRecord] = []
+def load_judgment_records(lines: Iterable[str]) -> tuple[list[tuple], int]:
+    """Parse judgment JSONL; returns (records, malformed_line_count).
+    Each record is one judge's label for one cell, as read: (query_id,
+    news_id, region, judge_id, label), the label parsed by aggregate."""
+    records: list[tuple] = []
     malformed = 0
     for _, raw in _record_lines(lines):
         try:
@@ -68,9 +61,7 @@ def load_judgment_records(
             malformed += 1
             continue
         records.append(
-            JudgmentRecord(
-                obj["query_id"], obj["news_id"], obj["region"], obj["judge_id"], label
-            )
+            (obj["query_id"], obj["news_id"], obj["region"], obj["judge_id"], label)
         )
     return records, malformed
 
@@ -83,7 +74,7 @@ def _parse_or_none(value: object) -> Label | None:
 
 
 def aggregate(
-    records: Iterable[JudgmentRecord],
+    records: Iterable[tuple],
     min_judges: int = 3,
     *,
     round_scores: bool = False,

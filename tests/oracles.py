@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from datetime import datetime, timezone
 
 from ctvm.judgments import parse_label
 from ctvm.porter import stem
@@ -247,34 +248,35 @@ def naive_compare(rows) -> tuple[list[bool] | None, str | None]:
 
 
 def naive_aggregate(records, min_judges: int):
-    """aggregate's (cells, counts) from the contract: every record's
-    label goes through parse_label, which is shared with the package as
-    the definition of a label; cells maps each kept (query, news,
-    region) key to the mean of its judges' latest labels."""
+    """aggregate's (cells, counts) from the contract, for (query_id,
+    news_id, region, judge_id, label) records: every record's label goes
+    through parse_label, which is shared with the package as the
+    definition of a label; cells maps each kept (query, news, region)
+    key to the mean of its judges' latest labels."""
     counts = dict.fromkeys(
         ("records_in", "bad_labels", "duplicates_superseded", "cells_kept", "cells_dropped"),
         0,
     )
     keys: list[tuple[str, str, str]] = []
     ratings: dict[tuple[str, str, str], list[list]] = {}
-    for record in records:
+    for query_id, news_id, region, judge_id, raw in records:
         counts["records_in"] += 1
         try:
-            label = parse_label(record.label)
+            label = parse_label(raw)
         except ValueError:
             counts["bad_labels"] += 1
             continue
-        key = (record.query_id, record.news_id, record.region)
+        key = (query_id, news_id, region)
         if key not in ratings:
             keys.append(key)
             ratings[key] = []
         for rating in ratings[key]:
-            if rating[0] == record.judge_id:
+            if rating[0] == judge_id:
                 rating[1] = label
                 counts["duplicates_superseded"] += 1
                 break
         else:
-            ratings[key].append([record.judge_id, label])
+            ratings[key].append([judge_id, label])
     cells = {}
     for key in keys:
         labels = [label for _, label in ratings[key]]
@@ -295,6 +297,131 @@ def relevance_cells(lookup) -> dict[tuple[str, str, str], float]:
         for query_id, news in lookup.region_cells(region).items()
         for news_id, relevance in news.items()
     }
+
+
+def naive_pipeline(
+    tweets: list[dict],
+    news: list[dict],
+    queries: list[dict],
+    judgments: list[dict],
+    entries: list[tuple[str, str]],
+    regions: list[str],
+    stopwords: frozenset[str],
+    *,
+    require_complete: bool = False,
+    cutoffs: tuple[int, ...] = (3, 5, 10),
+    min_judges: int = 3,
+    mode: str = "common-set",
+) -> tuple[list[dict], list[tuple]]:
+    """rerank's ranking rows and eval's rows, from raw records: tweets
+    (a "region" of their own, or none), news, queries and judgments as
+    their JSONL lines hold them, each well formed, with distinct ids and
+    ASCII text free of URLs, and the region table's (code, name) entries.
+
+    Each (query, engine, day) group of news, in key order, gives the
+    engine's ranking and then one ranking per region. A full scan picks
+    the tweets of that region (naive_resolve of the location) and UTC
+    day whose lowercased text holds a variant, in (timestamp, id)
+    order. Each doc's vote adds formula_cosine of each tweet's vector
+    and the title's to 0.0 in that order, as vote does, and naive_rerank
+    orders the docs by it. Eval scores each (engine, provenance)'s
+    (query, day) rankings under every region that kept a judged cell,
+    naive_ndcg per cutoff, and takes the math.fsum mean: one (region,
+    engine, provenance, cutoff, mean, count) row each, in eval's order.
+    A group that require_complete leaves no query has mean nan and
+    count 0, which eval reports as an error."""
+
+    def utc(stamp: str) -> datetime:
+        return datetime.fromisoformat(stamp.replace("Z", "+00:00")).astimezone(
+            timezone.utc
+        )
+
+    def vector(text: str, terms: frozenset[str]) -> dict[str, int]:
+        # naive_vector counts the empty stem, a bare "s"'s; to_vector drops it
+        counts = naive_vector(text, stopwords, terms)
+        return {term: count for term, count in counts.items() if term}
+
+    placed = []
+    for t in tweets:
+        if "region" in t:
+            region = t["region"]
+        else:
+            region = naive_resolve(t.get("user_location") or "", entries)
+        placed.append((utc(t["timestamp"]), t["id"], t["text"], region))
+    placed.sort(key=lambda tweet: tweet[:2])
+    variants = {q["id"]: [v.lower().strip() for v in q["variants"]] for q in queries}
+    groups: dict[tuple[str, str, str], list[dict]] = {}
+    for doc in news:
+        key = (doc["query_id"], doc["engine"], doc["retrieved_date"])
+        groups.setdefault(key, []).append(doc)
+    rows = []
+    for (query_id, engine, day), docs in sorted(groups.items()):
+        docs = sorted(docs, key=lambda doc: doc["original_rank"])
+        ids = [doc["id"] for doc in docs]
+        ranks = [doc["original_rank"] for doc in docs]
+        terms = frozenset(t for v in variants[query_id] for t in naive_tokens(v))
+        doc_vectors = [vector(doc["title"], terms) for doc in docs]
+        rankings = [("engine", ids, None)]
+        for region in regions:
+            votes = [0.0] * len(docs)
+            for stamp, _, text, where in placed:
+                if (
+                    where == region
+                    and stamp.date().isoformat() == day
+                    and any(v in text.lower() for v in variants[query_id])
+                ):
+                    tweet_vector = vector(text, terms)
+                    votes = [
+                        total + formula_cosine(tweet_vector, doc_vector, mode)
+                        for total, doc_vector in zip(votes, doc_vectors)
+                    ]
+            order = naive_rerank(ids, ranks, votes)
+            rankings.append((f"ctvm({region})", order, dict(zip(ids, votes))))
+        for provenance, order, vote_of in rankings:
+            for position, news_id in enumerate(order, start=1):
+                rows.append(
+                    {
+                        "query_id": query_id,
+                        "engine": engine,
+                        "date": day,
+                        "provenance": provenance,
+                        "position": position,
+                        "news_id": news_id,
+                        "vote": None if vote_of is None else vote_of[news_id],
+                    }
+                )
+
+    records = [
+        (
+            j["query_id"],
+            j["news_id"],
+            j["region"],
+            j["judge_id"],
+            j["label"] if "label" in j else j["score"],
+        )
+        for j in judgments
+    ]
+    cells, _ = naive_aggregate(records, min_judges)
+    # (engine, provenance) -> (query id, day) -> ranked ids
+    units: dict[tuple[str, str], dict[tuple[str, str], list[str]]] = {}
+    for row in rows:
+        ranking = units.setdefault((row["engine"], row["provenance"]), {})
+        ranking.setdefault((row["query_id"], row["date"]), []).append(row["news_id"])
+    group_keys = sorted(units, key=lambda key: (key[0], key[1] != "engine", key[1]))
+    eval_rows = []
+    for region in sorted({region for _, _, region in cells}):
+        for engine, provenance in group_keys:
+            relevances = []
+            for (query_id, _), ids in sorted(units[engine, provenance].items()):
+                keys = [(query_id, news_id, region) for news_id in ids]
+                if require_complete and not all(key in cells for key in keys):
+                    continue
+                relevances.append([cells.get(key, 0.0) for key in keys])
+            for k in cutoffs:
+                values = [naive_ndcg(r, k) for r in relevances]
+                mean = math.fsum(values) / len(values) if values else math.nan
+                eval_rows.append((region, engine, provenance, k, mean, len(values)))
+    return rows, eval_rows
 
 
 # naive_stem: the Porter stemmer as it stood before ctvm.porter indexed

@@ -11,7 +11,6 @@ from ctvm.evaluation import (
     DEFAULT_CONFIG,
     DEFAULT_CUTOFFS,
     VARIANT_LITERAL,
-    EvalRow,
     NdcgConfig,
     compare,
     dcg,
@@ -20,7 +19,7 @@ from ctvm.evaluation import (
     ndcg,
     ndcg_columns,
 )
-from ctvm.judgments import JudgmentRecord, RelevanceLookup, aggregate
+from ctvm.judgments import RelevanceLookup, aggregate
 
 from oracles import (
     naive_compare,
@@ -165,18 +164,11 @@ class TestNdcgProperties:
 
 
 def lookup_for(cells: dict[tuple[str, str, str], float]) -> RelevanceLookup:
-    records = []
-    for (query_id, news_id, region), value in cells.items():
-        for judge in ("j1", "j2", "j3"):
-            records.append(
-                JudgmentRecord(
-                    query_id=query_id,
-                    news_id=news_id,
-                    region=region,
-                    judge_id=judge,
-                    label=int(value),
-                )
-            )
+    records = [
+        (*cell, judge, int(value))
+        for cell, value in cells.items()
+        for judge in ("j1", "j2", "j3")
+    ]
     lookup, _ = aggregate(records)
     return lookup
 
@@ -631,7 +623,7 @@ class TestMeanNdcgRegions:
 
 
 def row(provenance, cutoff, value):
-    return EvalRow(provenance=provenance, cutoff=cutoff, mean_ndcg=value, n_queries=4)
+    return (provenance, cutoff, value, 4)
 
 
 class TestCompare:
@@ -654,7 +646,7 @@ class TestCompare:
             row("ctvm(CA)", 3, 0.6),
             row("ctvm(CA)", 5, 0.7),
         ]
-        marks = dict(zip([(r.provenance, r.cutoff) for r in rows], compare(rows)))
+        marks = dict(zip([(p, k) for p, k, _, _ in rows], compare(rows)))
         assert marks[("ctvm(CA)", 3)] is True
         assert marks[("ctvm(CA)", 5)] is False
 
@@ -676,15 +668,14 @@ class TestCompare:
 
 
 # few provenances, cutoffs and means, so that cells repeat, engine
-# cutoffs go missing and means tie; each row is an EvalRow or the plain
-# tuple of its fields
+# cutoffs go missing and means tie
 COMPARE_ROWS = st.lists(
     st.tuples(
         st.sampled_from(["engine", "ctvm(CA)", "ctvm(NY)"]),
         st.sampled_from([3, 5]),
         st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]),
         st.integers(1, 4),
-    ).flatmap(lambda fields: st.sampled_from([EvalRow(*fields), fields])),
+    ),
     max_size=8,
 )
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctvm.judgments import (
-    JudgmentRecord,
     Label,
     aggregate,
     load_judgment_records,
@@ -18,13 +17,7 @@ from oracles import naive_aggregate, relevance_cells
 
 
 def record(news_id="n1", judge="j1", label=2, query="q", region="CA"):
-    return JudgmentRecord(
-        query_id=query,
-        news_id=news_id,
-        region=region,
-        judge_id=judge,
-        label=label,
-    )
+    return (query, news_id, region, judge, label)
 
 
 class TestParseLabel:
@@ -232,7 +225,10 @@ class TestLoader:
         ]
         records, malformed = load_judgment_records(lines)
         assert malformed == 0
-        assert [r.label for r in records] == ["interesting", 3]
+        assert records == [
+            ("q", "n1", "CA", "j1", "interesting"),
+            ("q", "n1", "CA", "j2", 3),
+        ]
 
     def test_label_preferred_over_score(self):
         line = json.dumps(
@@ -246,7 +242,7 @@ class TestLoader:
             }
         )
         records, _ = load_judgment_records([line])
-        assert records[0].label == 1
+        assert records == [("q", "n1", "CA", "j1", 1)]
 
     def test_malformed_counted(self):
         lines = [
@@ -280,7 +276,7 @@ class TestLoader:
         )
         records, malformed = load_judgment_records([line])
         assert malformed == 0
-        assert records[0].label == "smashing"
+        assert records == [("q", "n1", "CA", "j1", "smashing")]
 
 
 class TestFixtureFile:

@@ -1,16 +1,20 @@
 """The package's six checked records: Query, Tweet, NewsDoc, Pipeline,
 RegionTable and NdcgConfig. Each is immutable, equal to and hashed like
 a record of equal fields, and checks its fields once, in its
-constructor, with the messages pinned here."""
+constructor, with the messages pinned here. They and CorpusSlice are
+the package's only named tuples."""
 
 from __future__ import annotations
 
+import importlib
 import pickle
+import pkgutil
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
-from ctvm.corpus import NewsDoc, Query, Tweet
+import ctvm
+from ctvm.corpus import CorpusSlice, NewsDoc, Query, Tweet
 from ctvm.evaluation import NdcgConfig
 from ctvm.geofilter import RegionTable
 from ctvm.textproc import Pipeline
@@ -101,6 +105,24 @@ def test_named_tuple_records_equal_the_tuple_of_their_fields(cls):
     assert record == tuple(fields.values())
     assert record._fields == tuple(fields)
     assert cls(*record) == record
+
+
+def test_named_tuples_are_the_checked_records_and_corpus_slice():
+    """A named tuple in ctvm either checks its fields, as the six records
+    do, or is read by field name, as CorpusSlice is; any other record is
+    a plain tuple."""
+    found = set()
+    for info in pkgutil.iter_modules(ctvm.__path__):
+        module = importlib.import_module(f"ctvm.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and issubclass(value, tuple)
+                and hasattr(value, "_fields")
+                and value.__module__ == module.__name__
+            ):
+                found.add(value)
+    assert found == {cls for cls, _ in RECORDS} | {CorpusSlice}
 
 
 NAIVE = datetime(2011, 12, 12)
