@@ -19,13 +19,7 @@ from .corpus import (
 from .errors import ContractViolation, CtvmError, InputDataError
 from .evaluation import NdcgConfig, compare, dcg, mean_ndcg, ndcg
 from .geofilter import RegionTable, load_region_table
-from .judgments import (
-    Label,
-    RelevanceLookup,
-    aggregate,
-    load_judgment_records,
-    parse_label,
-)
+from .judgments import RelevanceLookup, aggregate, load_judgment_records, parse_label
 from .porter import stem
 from .similarity import cosine
 from .textproc import Pipeline, load_stopwords, to_vector, tokenize
@@ -38,7 +32,6 @@ __all__ = [
     "CorpusSlice",
     "CtvmError",
     "InputDataError",
-    "Label",
     "NdcgConfig",
     "NewsDoc",
     "Pipeline",

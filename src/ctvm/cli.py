@@ -164,6 +164,17 @@ def _digits(value: str) -> int:
     return int(value)
 
 
+def _decimal(value: str) -> float:
+    """The number that value spells once stripped, in the form eval
+    writes: ASCII digits with at most one ".", digits on both sides of it.
+    float() would also take a sign, an exponent, underscores, nan, inf
+    and other scripts' digits ("+0.5", "6e-1", "0.6_2", "٠.٦")."""
+    value = value.strip()
+    if not all(part.isascii() and part.isdigit() for part in value.split(".", 1)):
+        raise ValueError(f"not an ASCII decimal: {value!r}")
+    return float(value)
+
+
 def _positive_int(value: str) -> int:
     with contextlib.suppress(ValueError):
         number = _digits(value)
@@ -460,10 +471,10 @@ def _read_eval_rows(path: str) -> dict[tuple[str, str], list[tuple]]:
             try:
                 if len(record) < width:
                     raise ValueError("row has fewer fields than the header")
-                k, mean = _digits(record[cutoff]), float(record[value])
+                k, mean = _digits(record[cutoff]), _decimal(record[value])
                 n = _digits(record[n_queries])
-                # eval writes no other rows, and a nan engine row stars nothing
-                if k < 1 or n < 1 or not 0 <= mean <= 1:
+                # eval writes no other rows
+                if k < 1 or n < 1 or mean > 1:
                     raise ValueError(
                         "need cutoff >= 1, n_queries >= 1 and mean_ndcg in [0, 1]"
                     )

@@ -10,41 +10,37 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from enum import IntEnum
 from types import SimpleNamespace
 
 from .corpus import _parse_record, _record_lines
 
 _JUDGMENT_FIELDS = dict(query_id=str, news_id=str, region=str, judge_id=str)
 
-
-class Label(IntEnum):
-    NOT_RELEVANT = 0
-    JUST_OK = 1
-    INTERESTING = 2
-    VERY_INTERESTING = 3
-
-
-_LABEL_BY_TEXT = {
-    "not relevant": Label.NOT_RELEVANT,
-    "just ok": Label.JUST_OK,
-    "interesting": Label.INTERESTING,
-    "very interesting": Label.VERY_INTERESTING,
+_SCORE_BY_TEXT = {
+    "not relevant": 0,
+    "just ok": 1,
+    "interesting": 2,
+    "very interesting": 3,
 }
 
 
-def parse_label(value: object) -> Label:
-    """Accept the label text (any spacing/case) or its numeric score."""
+def _score(value: object) -> int | None:
+    """A label's score 0-3 as a plain int, from its text (any spacing,
+    case or underscores) or an int that is not a bool; else None."""
     if isinstance(value, str):
-        normalized = " ".join(value.lower().replace("_", " ").split())
-        if normalized in _LABEL_BY_TEXT:
-            return _LABEL_BY_TEXT[normalized]
-        raise ValueError(f"unknown judgment label: {value!r}")
-    if isinstance(value, int) and not isinstance(value, bool):
-        if 0 <= value <= 3:
-            return Label(value)
-        raise ValueError(f"judgment score out of range: {value}")
-    raise ValueError(f"judgment label must be text or int: {value!r}")
+        return _SCORE_BY_TEXT.get(" ".join(value.lower().replace("_", " ").split()))
+    if isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 3:
+        return int(value)
+    return None
+
+
+def parse_label(value: object) -> int:
+    """The score 0-3 of a label text (any spacing/case) or numeric score;
+    ValueError for anything else."""
+    score = _score(value)
+    if score is None:
+        raise ValueError(f"not a judgment label or score 0-3: {value!r}")
+    return score
 
 
 def load_judgment_records(lines: Iterable[str]) -> tuple[list[tuple], int]:
@@ -64,13 +60,6 @@ def load_judgment_records(lines: Iterable[str]) -> tuple[list[tuple], int]:
             (obj["query_id"], obj["news_id"], obj["region"], obj["judge_id"], label)
         )
     return records, malformed
-
-
-def _parse_or_none(value: object) -> Label | None:
-    try:
-        return parse_label(value)
-    except ValueError:
-        return None
 
 
 def aggregate(
@@ -94,21 +83,19 @@ def aggregate(
         cells_kept=0,
         cells_dropped=0,
     )
-    # raw labels take few distinct values, so each (type, value) is
-    # parsed once; None marks one that does not parse. The type keeps 1,
-    # 1.0 and True apart, which compare equal.
-    parsed: dict[tuple[type, object], Label | None] = {}
-    # cell -> judge -> Label, insertion-ordered for stable output
-    cells: dict[tuple[str, str, str], dict[str, Label]] = {}
+    # raw labels take few distinct values, so each str or int is scored
+    # once; None marks one that is no label
+    scores: dict[str | int, int | None] = {}
+    # cell -> judge -> score, insertion-ordered for stable output
+    cells: dict[tuple[str, str, str], dict[str, int]] = {}
     for query_id, news_id, region, judge_id, raw in records:
         report.records_in += 1
-        memo_key = (type(raw), raw)
-        try:
-            label = parsed[memo_key]
-        except KeyError:
-            label = parsed[memo_key] = _parse_or_none(raw)
-        except TypeError:  # unhashable, such as a list: no memo
-            label = _parse_or_none(raw)
+        if type(raw) not in (str, int):
+            label = _score(raw)
+        elif raw in scores:
+            label = scores[raw]
+        else:
+            label = scores[raw] = _score(raw)
         if label is None:
             report.bad_labels += 1
             continue

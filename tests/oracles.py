@@ -12,10 +12,10 @@ earlier, plainer implementation of the same rules.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from datetime import datetime, timezone
 
-from ctvm.judgments import parse_label
 from ctvm.porter import stem
 
 
@@ -247,11 +247,31 @@ def naive_compare(rows) -> tuple[list[bool] | None, str | None]:
     return marks, None
 
 
+# README's four label texts in score order, any case, with runs of
+# whitespace or underscores between and around their words
+NAIVE_LABEL_TEXTS = [
+    re.compile(r"[\s_]*" + r"[\s_]+".join(words.split()) + r"[\s_]*", re.IGNORECASE)
+    for words in ("not relevant", "just ok", "interesting", "very interesting")
+]
+
+
+def naive_score(raw):
+    """A label's score from README's table: one of the four texts, or
+    an int 0-3 that is not a bool; None for anything else."""
+    if isinstance(raw, str):
+        for score, pattern in enumerate(NAIVE_LABEL_TEXTS):
+            if pattern.fullmatch(raw):
+                return score
+        return None
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw in range(4):
+        return raw
+    return None
+
+
 def naive_aggregate(records, min_judges: int):
     """aggregate's (cells, counts) from the contract, for (query_id,
-    news_id, region, judge_id, label) records: every record's label goes
-    through parse_label, which is shared with the package as the
-    definition of a label; cells maps each kept (query, news, region)
+    news_id, region, judge_id, label) records: every record's label is
+    scored by naive_score; cells maps each kept (query, news, region)
     key to the mean of its judges' latest labels."""
     counts = dict.fromkeys(
         ("records_in", "bad_labels", "duplicates_superseded", "cells_kept", "cells_dropped"),
@@ -261,9 +281,8 @@ def naive_aggregate(records, min_judges: int):
     ratings: dict[tuple[str, str, str], list[list]] = {}
     for query_id, news_id, region, judge_id, raw in records:
         counts["records_in"] += 1
-        try:
-            label = parse_label(raw)
-        except ValueError:
+        label = naive_score(raw)
+        if label is None:
             counts["bad_labels"] += 1
             continue
         key = (query_id, news_id, region)
@@ -284,7 +303,7 @@ def naive_aggregate(records, min_judges: int):
             counts["cells_dropped"] += 1
             continue
         counts["cells_kept"] += 1
-        cells[key] = sum(int(label) for label in labels) / len(labels)
+        cells[key] = sum(labels) / len(labels)
     return cells, counts
 
 

@@ -1494,6 +1494,11 @@ class TestReport:
             ("mean_ndcg", "inf"),
             ("mean_ndcg", "-0.5"),
             ("mean_ndcg", "1.5"),
+            # float() reads these; eval writes none of them
+            ("mean_ndcg", "0.62_85831123"),
+            ("mean_ndcg", "\u0660.\u0666"),
+            ("mean_ndcg", "6.285831123e-1"),
+            ("mean_ndcg", "+0.6285831123"),
             ("cutoff", "0"),
             ("n_queries", "0"),
         ],
@@ -1528,8 +1533,7 @@ class TestReport:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == (
-            f"error: {rows}: bad eval row on line 4: need cutoff >= 1, "
-            "n_queries >= 1 and mean_ndcg in [0, 1]\n"
+            f"error: {rows}: bad eval row on line 4: not an ASCII decimal: 'nan'\n"
         )
 
     def test_short_row_exits_one(self, tmp_path, capsys):
@@ -1823,6 +1827,14 @@ def ascii_digits(cell: str) -> int:
     return int(cell)
 
 
+def ascii_decimal(cell: str) -> float:
+    """A mean_ndcg cell as report reads it: ASCII digits with at most
+    one point, digits on both sides of it, once stripped."""
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", cell.strip()):
+        raise ValueError(f"not an ASCII decimal: {cell.strip()!r}")
+    return float(cell)
+
+
 def dict_reader_eval_rows(lines: list[str], path: str):
     """report's rows as csv.DictReader reads them: a repeated column
     name reads its last column, a column past the row's end reads None,
@@ -1844,7 +1856,7 @@ def dict_reader_eval_rows(lines: list[str], path: str):
                 if None in map(record.get, cli.EVAL_COLUMNS):
                     raise ValueError("row has fewer fields than the header")
                 cutoff = ascii_digits(record["cutoff"])
-                mean = float(record["mean_ndcg"])
+                mean = ascii_decimal(record["mean_ndcg"])
                 n_queries = ascii_digits(record["n_queries"])
                 if cutoff < 1 or n_queries < 1 or not 0 <= mean <= 1:
                     raise ValueError(
@@ -1868,9 +1880,12 @@ EVAL_HEADERS = st.lists(
 )
 # mostly "1", which fits every column; int() would read "3_0", "+3"
 # and "\u0663" as 30, 3 and 3, but an integer cell is ASCII digits, with
-# spaces around them allowed (" 3 ")
+# spaces around them allowed (" 3 "); float() would read "0.6_2",
+# "\u0660.\u0666", "6e-1" and "+0.5", but a mean is an ASCII decimal
 EVAL_CELLS = st.sampled_from(
-    ["1"] * 12 + ["0.5", "3", "CA", "nan", "-1", "", "3_0", "+3", "\u0663", " 3 "]
+    ["1"] * 20
+    + ["0.5", "3", "CA", "nan", "-1", "", "3_0", "+3", "\u0663", " 3 "]
+    + ["0.6_2", "\u0660.\u0666", "6e-1", "+0.5", " 0.5 ", "1.", ".5"]
 )
 EVAL_LINES = st.lists(
     st.just("")
